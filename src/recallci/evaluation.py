@@ -25,15 +25,15 @@ import numpy as np
 from .core import RealizationTruth, RecallProblem, SampleDesign, SegmentData
 from .distributions import HypergeomParams, sample_hypergeom
 from .intervals import (
-    BETA_BINOMIAL,
-    BETA_JEFFREYS,
+    CLOSED_FORMS,
     METHODS,
-    MONTE_CARLO_METHODS,
+    NORMAL_METHODS,
+    POSTERIORS,
+    CountBatch,
     MonteCarloConfig,
-    PriorSpec,
-    _mcp_prior,
     compute_interval,
-    normal_interval_raw,
+    equal_tail_quantiles,
+    normal_mid_half,
     segment_yield_draws,
 )
 from .scenarios import ScenarioSpec, sample_realization
@@ -53,8 +53,6 @@ __all__ = [
 _NS_REALIZATION = 0
 _NS_SAMPLE = 1
 _NS_POSTERIOR = 2
-
-_NORMAL_FAMILY = frozenset({"normal-mle", "normal-laplace", "normal-agresti"})
 
 
 @dataclass(frozen=True)
@@ -213,18 +211,6 @@ def closest_coverage_shares(report: CoverageReport) -> dict[str, float]:
     return {m: float(s) for m, s in zip(report.methods, shares)}
 
 
-def _family_and_prior(method: str):
-    if method == "beta-jeffreys":
-        return BETA_JEFFREYS, None
-    if method == "betabin-uniform":
-        return BETA_BINOMIAL, PriorSpec(1.0, 1.0)
-    if method == "betabin-half":
-        return BETA_BINOMIAL, PriorSpec(0.5, 0.5)
-    if method == "betabin-mcp":
-        return BETA_BINOMIAL, _mcp_prior
-    raise ValueError(f"{method!r} is not a Monte Carlo method")
-
-
 def _single_stratum_problem(
     truth: RealizationTruth, design: SampleDesign, r1: int, r0: int
 ) -> RecallProblem:
@@ -239,61 +225,42 @@ def _single_stratum_problem(
 
 
 def _mc_pair_bounds(
-    method: str,
-    truth: RealizationTruth,
-    design: SampleDesign,
-    pairs: Sequence[tuple[tuple[int, int], int]],
-    level: float,
-    draws: int,
-    stream: RandomStream,
-) -> dict[tuple[int, int], tuple[float, float]]:
-    """Interval bounds for every unique (r1, r0) pair of one realization.
+    method: str, batch: CountBatch, level: float, draws: int, stream: RandomStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo interval bounds for every sample of a single-stratum batch.
 
     Posterior yield draws depend on one segment's observed count only, so
-    they are drawn once per unique count and shared across pairs; each pair
-    still receives a full ``draws``-sized paired recall sample.
+    they are drawn once per unique count and shared across samples; each
+    sample still receives a full ``draws``-sized paired recall sample.
     """
-    family, prior = _family_and_prior(method)
-    problems = {
-        0: (truth.retrieved_size, design.retrieved_sample),
-        1: (truth.unretrieved_size, design.unretrieved_sample),
-    }
-    labels = {0: "retrieved", 1: "unretrieved"}
-    alpha = 1.0 - level
-    lo_rank = min(max(math.ceil(alpha / 2.0 * draws), 1), draws)
-    hi_rank = min(max(math.ceil((1.0 - alpha / 2.0) * draws), 1), draws)
+    family, prior = POSTERIORS[method]
+    rows: list[dict[int, np.ndarray]] = []
+    for segment_index, label in enumerate(("retrieved", "unretrieved")):
+        ((population, sample),) = batch.strata[segment_index]
+        (counts,) = batch.relevant[segment_index]
+        rows.append(
+            {
+                r: segment_yield_draws(
+                    SegmentData.simple(label, population, sample, r),
+                    family,
+                    prior,
+                    draws,
+                    stream.substream(segment_index, r),
+                    segment_index,
+                )
+                for r in sorted(set(counts.tolist()))
+            }
+        )
 
-    def yield_rows(segment_index: int) -> dict[int, np.ndarray]:
-        population, sample = problems[segment_index]
-        uniques = sorted({pair[segment_index] for pair, _ in pairs})
-        rows: dict[int, np.ndarray] = {}
-        for r in uniques:
-            segment = SegmentData.simple(labels[segment_index], population, sample, r)
-            rows[r] = segment_yield_draws(
-                segment,
-                family,
-                prior,
-                draws,
-                stream.substream(segment_index, r),
-                segment_index,
-            )
-        return rows
-
-    rows1 = yield_rows(0)
-    rows0 = yield_rows(1)
-
-    bounds: dict[tuple[int, int], tuple[float, float]] = {}
-    for (r1, r0), _ in pairs:
-        rec = rows1[r1] / (rows1[r1] + rows0[r0])
-        part = np.partition(rec, (lo_rank - 1, hi_rank - 1))
-        lower = float(part[lo_rank - 1])
-        upper = float(part[hi_rank - 1])
-        if r1 == 0:
-            lower = 0.0
-        if r0 == 0:
-            upper = 1.0
-        bounds[(r1, r0)] = (lower, max(lower, upper))
-    return bounds
+    r1s, r0s = batch.totals()
+    lower = np.empty(len(r1s))
+    upper = np.empty(len(r1s))
+    for k, (r1, r0) in enumerate(zip(r1s.tolist(), r0s.tolist())):
+        y1 = rows[0][r1]
+        lower[k], upper[k] = equal_tail_quantiles(y1 / (y1 + rows[1][r0]), level)
+    lower[r1s == 0] = 0.0
+    upper[r0s == 0] = 1.0
+    return lower, np.maximum(lower, upper)
 
 
 def _evaluate_realization(
@@ -317,40 +284,41 @@ def _evaluate_realization(
 
     total = config.samples_per_realization
     undefined_count = counts.pop((0, 0), 0)
-    pairs = sorted(counts.items())
+    defined = total - undefined_count
+    pairs = sorted(counts)
+    weights = np.array([counts[pair] for pair in pairs], dtype=np.int64)
+    r1s, r0s = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    batch = CountBatch.simple(
+        truth.retrieved_size,
+        design.retrieved_sample,
+        r1s,
+        truth.unretrieved_size,
+        design.unretrieved_sample,
+        r0s,
+    )
     true_rec = truth.recall
 
     out: dict[str, tuple[float, float, float, float, float]] = {}
     for m_idx, method in enumerate(config.methods):
-        covered = above = below = 0
-        width_sum = 0.0
-        if method in MONTE_CARLO_METHODS:
-            mc_bounds = _mc_pair_bounds(
+        if method in POSTERIORS:
+            lower, upper = _mc_pair_bounds(
                 method,
-                truth,
-                design,
-                pairs,
+                batch,
                 config.level,
                 config.mc_draws,
                 base.substream(_NS_POSTERIOR, index, m_idx),
             )
-        for (r1, r0), cnt in pairs:
-            if method in MONTE_CARLO_METHODS:
-                lower, upper = mc_bounds[(r1, r0)]
-            else:
-                problem = _single_stratum_problem(truth, design, r1, r0)
-                interval = compute_interval(method, problem, config.level)
-                lower, upper = interval.lower, interval.upper
-            if true_rec > upper:
-                above += cnt
-            elif true_rec < lower:
-                below += cnt
-            else:
-                covered += cnt
-            width_sum += cnt * (upper - lower)
-        defined = total - undefined_count
+        else:
+            lower, upper = CLOSED_FORMS[method](batch, config.level)
+        above_mask = true_rec > upper
+        above = int(weights[above_mask].sum())
+        below = int(weights[~above_mask & (true_rec < lower)].sum())
+        # A running total in pair order; np.sum's pairwise order differs.
+        width_sum = 0.0
+        for width in (weights * (upper - lower)).tolist():
+            width_sum += width
         out[method] = (
-            covered / total,
+            (defined - above - below) / total,
             above / total,
             below / total,
             undefined_count / total,
@@ -432,16 +400,13 @@ def _interval_width(
     visible in design studies (widths above 1 for tiny low-prevalence
     samples, 1/sqrt(n) decay for large ones).
     """
-    if method in _NORMAL_FAMILY:
-        adjustment = {"normal-mle": 0, "normal-laplace": 1, "normal-agresti": 2}[method]
-        r1 = problem.retrieved.total_relevant_sampled
-        r0 = problem.unretrieved.total_relevant_sampled
-        if adjustment == 0 and r1 == 0 and r0 == 0:
-            return 1.0
-        _, half = normal_interval_raw(problem, level, adjustment)
-        return 2.0 * half
-    interval = compute_interval(method, problem, level, config)
-    return interval.width
+    if method in NORMAL_METHODS:
+        _, (half,) = normal_mid_half(
+            CountBatch.of_problem(problem), level, NORMAL_METHODS.index(method)
+        )
+        # No estimate exists without relevant documents: the forced [0, 1].
+        return 1.0 if math.isnan(half) else 2.0 * half
+    return compute_interval(method, problem, level, config).width
 
 
 def _mean_width(

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Union
 
 import numpy as np
@@ -37,22 +37,31 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 from .core import (
+    RETRIEVED,
+    UNRETRIEVED,
     RecallProblem,
     SegmentData,
     StratumCounts,
     UndefinedEstimateError,
     estimate_recall,
-    recall_variance,
 )
 from .distributions import chi_square_1df_quantile, log_comb, normal_quantile
 from .streams import RandomStream
 
 __all__ = [
     "METHODS",
+    "NORMAL_METHODS",
+    "CLOSED_FORMS",
+    "POSTERIORS",
     "MONTE_CARLO_METHODS",
     "PriorSpec",
     "MonteCarloConfig",
     "RecallInterval",
+    "CountBatch",
+    "naive_binomial_bounds",
+    "normal_mid_half",
+    "normal_bounds",
+    "koopman_bounds",
     "naive_binomial",
     "normal_interval",
     "normal_interval_raw",
@@ -61,7 +70,7 @@ __all__ = [
     "most_conservative_prior",
     "expected_information_gain",
     "compute_interval",
-    "nearest_rank_quantile",
+    "equal_tail_quantiles",
 ]
 
 METHODS = (
@@ -74,10 +83,6 @@ METHODS = (
     "betabin-uniform",
     "betabin-mcp",
     "betabin-half",
-)
-
-MONTE_CARLO_METHODS = frozenset(
-    {"beta-jeffreys", "betabin-uniform", "betabin-mcp", "betabin-half"}
 )
 
 BETA_JEFFREYS = "beta-jeffreys"
@@ -148,14 +153,93 @@ def _point_or_none(problem: RecallProblem) -> float | None:
         return None
 
 
-def nearest_rank_quantile(sorted_values: np.ndarray, q: float) -> float:
-    """q-quantile of a sorted sample under the nearest-rank convention."""
-    d = len(sorted_values)
-    rank = min(max(math.ceil(q * d), 1), d)
-    return float(sorted_values[rank - 1])
+# ---------------------------------------------------------------------------
+# Closed-form and Koopman kernels over batches of samples.
+#
+# Each kernel takes a CountBatch and returns arrays of lower and upper bounds,
+# one per sample.  The arithmetic follows the scalar formulas operation by
+# operation, so a batch gives the same bits as its samples computed one at a
+# time.  Squares and fourth powers use np.float_power, which calls the C
+# library's pow as Python's ``**`` does; np.power may take a SIMD path that
+# differs in the last bit.
+# ---------------------------------------------------------------------------
 
 
-def naive_binomial(problem: RecallProblem, level: float) -> RecallInterval:
+@dataclass(frozen=True)
+class CountBatch:
+    """Relevant counts of many samples drawn under one sampling design.
+
+    ``strata`` holds one ``(population, sample)`` pair per stratum of the
+    retrieved and of the unretrieved segment; ``relevant`` holds, in the same
+    layout, an integer array of relevant counts per stratum with one entry
+    per sample.
+    """
+
+    strata: tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+    relevant: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
+
+    @classmethod
+    def simple(
+        cls, n_ret: int, s_ret: int, r_ret, n_unret: int, s_unret: int, r_unret
+    ) -> "CountBatch":
+        """Unstratified batch from (population, sample, relevant counts) per segment."""
+        return cls(
+            (((n_ret, s_ret),), ((n_unret, s_unret),)),
+            ((np.asarray(r_ret, dtype=np.int64),), (np.asarray(r_unret, dtype=np.int64),)),
+        )
+
+    @classmethod
+    def of_problem(cls, problem: RecallProblem) -> "CountBatch":
+        """The batch of one sample holding ``problem``'s counts."""
+        segments = (problem.retrieved, problem.unretrieved)
+        return cls(
+            tuple(tuple((s.population_size, s.sample_size) for s in seg.strata) for seg in segments),
+            tuple(
+                tuple(np.array([s.relevant_in_sample], dtype=np.int64) for s in seg.strata)
+                for seg in segments
+            ),
+        )
+
+    def totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Relevant documents sampled from each segment, per sample."""
+        return sum(self.relevant[0]), sum(self.relevant[1])
+
+
+def _segment_yields(batch: CountBatch, adjustment: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-sample yield estimate and variance of each segment.
+
+    Adjustment c adds c positives and c negatives to every stratum sample;
+    c = 0 is the stratified estimate of ``core.estimate_segment_yield``.
+    Without adjustment an empty stratum sample leaves the yield undefined,
+    which is an error unless no sample of the batch holds a relevant document.
+    """
+    if adjustment == 0:
+        empty = [
+            (label, idx)
+            for label, strata in zip((RETRIEVED, UNRETRIEVED), batch.strata)
+            for idx, (_, sample) in enumerate(strata)
+            if sample == 0
+        ]
+        if empty and np.any(sum(batch.totals())):
+            label, idx = empty[0]
+            raise ValueError(
+                f"{label} stratum {idx} has an empty sample; yield cannot be estimated"
+            )
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for strata, counts in zip(batch.strata, batch.relevant):
+            y = v = 0.0
+            for (population, sample), r in zip(strata, counts):
+                n_adj = sample + 2 * adjustment
+                p = (r + adjustment) / n_adj
+                y = y + population * p
+                fpc = 1.0 - sample / population
+                v = v + float(population**2) * (p * (1.0 - p) / n_adj) * fpc
+            out.append((y, v))
+    return out
+
+
+def naive_binomial_bounds(batch: CountBatch, level: float) -> tuple[np.ndarray, np.ndarray]:
     """Wald interval treating recall as a proportion of sampled positives.
 
     The denominator is the number of relevant documents in the combined
@@ -163,90 +247,60 @@ def naive_binomial(problem: RecallProblem, level: float) -> RecallInterval:
     relevant documents were sampled at a single rate, which rarely holds.
     """
     z = _z_value(level)
-    m = (
-        problem.retrieved.total_relevant_sampled
-        + problem.unretrieved.total_relevant_sampled
-    )
-    if m == 0:
+    r1, r0 = batch.totals()
+    m = r1 + r0
+    if np.any(m == 0):
         raise UndefinedEstimateError(
             "naive binomial interval needs at least one sampled relevant document"
         )
-    point = estimate_recall(problem)
-    half = z * math.sqrt(point * (1.0 - point) / m)
-    return RecallInterval(
-        max(0.0, point - half), min(1.0, point + half), level, point, "naive-binomial"
-    )
+    (y1, _), (y0, _) = _segment_yields(batch, 0)
+    point = y1 / (y1 + y0)
+    half = z * np.sqrt(point * (1.0 - point) / m)
+    return np.maximum(point - half, 0.0), np.minimum(point + half, 1.0)
 
 
-_ADJUSTMENT_TAGS = {0: "normal-mle", 1: "normal-laplace", 2: "normal-agresti"}
+NORMAL_METHODS = ("normal-mle", "normal-laplace", "normal-agresti")
+"""Normal-approximation methods, indexed by their count adjustment."""
 
 
-def normal_interval_raw(
-    problem: RecallProblem, level: float, adjustment: int = 0
-) -> tuple[float, float]:
-    """(midpoint, halfwidth) of the normal interval before clipping/forcing.
+def normal_mid_half(
+    batch: CountBatch, level: float, adjustment: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and half-widths of normal intervals before clipping/forcing.
 
     With ``adjustment`` c > 0, c positives and c negatives are added to every
     stratum sample; midpoint, yield estimates, and propagated variance are all
-    recomputed from the adjusted counts.
+    recomputed from the adjusted counts.  Without adjustment both are NaN for
+    samples without relevant documents, where no estimate exists.
     """
-    if adjustment not in _ADJUSTMENT_TAGS:
+    if adjustment not in range(len(NORMAL_METHODS)):
         raise ValueError("adjustment must be 0, 1, or 2")
     z = _z_value(level)
-    if adjustment == 0:
-        mid = estimate_recall(problem)
-        sd = math.sqrt(recall_variance(problem, corrected=True))
-        return mid, z * sd
-
-    c = adjustment
-    yields = []
-    variances = []
-    for segment in (problem.retrieved, problem.unretrieved):
-        y = 0.0
-        v = 0.0
-        for s in segment.strata:
-            n_adj = s.sample_size + 2 * c
-            p_adj = (s.relevant_in_sample + c) / n_adj
-            y += s.population_size * p_adj
-            fpc = 1.0 - s.sample_size / s.population_size
-            v += s.population_size**2 * (p_adj * (1.0 - p_adj) / n_adj) * fpc
-        yields.append(y)
-        variances.append(v)
-    y1, y0 = yields
-    v1, v0 = variances
-    total = y1 + y0
-    mid = y1 / total
-    sd = math.sqrt((v1 * y0**2 + v0 * y1**2) / total**4)
-    return mid, z * sd
+    (y1, v1), (y0, v0) = _segment_yields(batch, adjustment)
+    with np.errstate(invalid="ignore"):
+        total = y1 + y0
+        mid = y1 / total
+        var = (v1 * np.float_power(y0, 2.0) + v0 * np.float_power(y1, 2.0)) / np.float_power(
+            total, 4.0
+        )
+    return mid, z * np.sqrt(var)
 
 
-def normal_interval(
-    problem: RecallProblem, level: float, adjustment: int = 0
-) -> RecallInterval:
-    """Normal-approximation recall interval, optionally count-adjusted.
+def normal_bounds(
+    batch: CountBatch, level: float, adjustment: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normal-approximation recall intervals, optionally count-adjusted.
 
     adjustment 0 is the MLE method; 1 the Laplace adjustment; 2 the
-    Agresti-Coull adjustment.  The interval is clipped to [0, 1]; the upper
+    Agresti-Coull adjustment.  Intervals are clipped to [0, 1]; the upper
     end is forced to 1 when the unretrieved sample has no relevant documents,
     and the lower end to 0 when the retrieved sample has none.
     """
-    if adjustment not in _ADJUSTMENT_TAGS:
-        raise ValueError("adjustment must be 0, 1, or 2")
-    r1 = problem.retrieved.total_relevant_sampled
-    r0 = problem.unretrieved.total_relevant_sampled
-    tag = _ADJUSTMENT_TAGS[adjustment]
-    point = _point_or_none(problem)
-    if adjustment == 0 and r1 == 0 and r0 == 0:
-        # Degenerate sample: no MLE exists; both forcing rules apply.
-        return RecallInterval(0.0, 1.0, level, None, tag)
-    mid, half = normal_interval_raw(problem, level, adjustment)
-    lower = max(0.0, mid - half)
-    upper = min(1.0, mid + half)
-    if r1 == 0:
-        lower = 0.0
-    if r0 == 0:
-        upper = 1.0
-    return RecallInterval(lower, min(max(lower, upper), 1.0), level, point, tag)
+    mid, half = normal_mid_half(batch, level, adjustment)
+    r1, r0 = batch.totals()
+    lower = np.where(r1 == 0, 0.0, np.maximum(mid - half, 0.0))
+    upper = np.where(r0 == 0, 1.0, np.minimum(mid + half, 1.0))
+    return lower, np.minimum(np.maximum(upper, lower), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,142 +308,200 @@ def normal_interval(
 # ---------------------------------------------------------------------------
 
 
-def _constrained_rates(phi: float, x: int, m: int, y: int, n: int) -> tuple[float, float]:
-    """ML rates under the constraint p_num = phi * p_den.
+def _chi_term(obs, size, rate):
+    # Rates lie in [0, 1], so a zero denominator under a nonzero numerator
+    # gives the infinite term.
+    num = np.float_power(obs - size * rate, 2.0)
+    return np.where(num == 0.0, 0.0, num / (size * rate * (1.0 - rate)))
 
-    (x, m) is the numerator-group sample, (y, n) the denominator group.
-    The denominator-group rate solves
+
+def _koopman_statistic(phi, x, m, y, n):
+    """Goodness-of-fit chi-square for the ratio hypothesis p_num/p_den = phi.
+
+    (x, m) is the numerator-group sample, (y, n) the denominator group.  Under
+    the constraint p_num = phi * p_den the ML denominator-group rate solves
     phi (m + n) t^2 - [x + n + phi (m + y)] t + (x + y) = 0 (smaller root).
+    Arguments broadcast; the result is one statistic per element.
     """
-    a = phi * (m + n)
-    b = x + n + phi * (m + y)
-    c = x + y
-    disc = max(b * b - 4.0 * a * c, 0.0)
-    t = (b - math.sqrt(disc)) / (2.0 * a)
-    t = min(max(t, 0.0), 1.0)
-    return min(phi * t, 1.0), t
-
-
-def _koopman_statistic(phi: float, x: int, m: int, y: int, n: int) -> float:
-    """Goodness-of-fit chi-square for the ratio hypothesis p_num/p_den = phi."""
-    p_num, p_den = _constrained_rates(phi, x, m, y, n)
-
-    def term(obs: int, size: int, rate: float) -> float:
-        num = (obs - size * rate) ** 2
-        if num == 0.0:
-            return 0.0
-        den = size * rate * (1.0 - rate)
-        if den <= 0.0:
-            return math.inf
-        return num / den
-
-    return term(x, m, p_num) + term(y, n, p_den)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = phi * (m + n)
+        b = x + n + phi * (m + y)
+        disc = np.maximum(b * b - 4.0 * a * (x + y), 0.0)
+        t = np.minimum(np.maximum((b - np.sqrt(disc)) / (2.0 * a), 0.0), 1.0)
+        return _chi_term(x, m, np.minimum(phi * t, 1.0)) + _chi_term(y, n, t)
 
 
 _BISECT_TOL = 1e-8
+_PHI_CAP = 1e30
+_PHI_FLOOR = 1e-300
 
 
-def _bisect_cross(
-    f: Callable[[float], float], crit: float, inside: float, outside: float
-) -> float:
-    """Boundary of {phi: f(phi) <= crit} between an inside and outside point."""
+def _double_while(accepted, phi: np.ndarray, while_accepted: np.ndarray) -> np.ndarray:
+    """Double each phi while ``accepted(phi)`` equals its flag, up to the cap."""
+    active = np.ones(phi.shape, dtype=bool)
+    while active.any():
+        go = active & (accepted(phi) == while_accepted)
+        phi = np.where(go, 2.0 * phi, phi)
+        active = go & ~(phi > _PHI_CAP)
+    return phi
+
+
+def _halve_while_accepted(accepted, phi: np.ndarray) -> np.ndarray:
+    """Halve each positive phi while accepted; below the floor it becomes 0."""
+    active = phi > 0.0
+    while active.any():
+        go = active & accepted(phi)
+        phi = np.where(go, phi / 2.0, phi)
+        floor = go & (phi < _PHI_FLOOR)
+        phi = np.where(floor, 0.0, phi)
+        active = go & ~floor
+    return phi
+
+
+def _bisect_cross(accepted, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """Boundary of each {phi: accepted(phi)} between an inside and outside point.
+
+    Every element stops on its own width test, so each boundary is the one
+    bisecting that element alone would give.
+    """
     lo, hi = inside, outside
     for _ in range(500):
-        if abs(hi - lo) <= _BISECT_TOL * max(1.0, abs(hi), abs(lo)):
+        done = np.abs(hi - lo) <= _BISECT_TOL * np.maximum(
+            np.maximum(np.abs(hi), np.abs(lo)), 1.0
+        )
+        if done.all():
             break
         mid = 0.5 * (lo + hi)
-        if f(mid) <= crit:
-            lo = mid
-        else:
-            hi = mid
+        ok = accepted(mid)
+        lo = np.where(~done & ok, mid, lo)
+        hi = np.where(~done & ~ok, mid, hi)
     return 0.5 * (lo + hi)
 
 
-def koopman_interval(problem: RecallProblem, level: float) -> RecallInterval:
+def koopman_bounds(batch: CountBatch, level: float) -> tuple[np.ndarray, np.ndarray]:
     """Chi-square test inversion on the unretrieved/retrieved prevalence ratio.
 
     Recall is a monotonically decreasing function of the ratio
     phi = pi_unretrieved / pi_retrieved, so a confidence set on phi maps to
     one on recall with the endpoints reversed.  The method has no extension
-    to stratified sampling and rejects stratified problems.
+    to stratified sampling and rejects stratified batches.
     """
-    if problem.is_stratified:
+    if any(len(strata) > 1 for strata in batch.strata):
         raise ValueError(
             "the koopman interval does not extend to stratified sampling; "
             "each segment must be a single stratum"
         )
-    ret = problem.retrieved.strata[0]
-    unret = problem.unretrieved.strata[0]
-    if ret.sample_size < 1 or unret.sample_size < 1:
+    ((ret_population, n),), ((unret_population, m),) = batch.strata
+    if n < 1 or m < 1:
         raise ValueError("koopman interval requires at least one draw per segment")
-
-    x, m = unret.relevant_in_sample, unret.sample_size
-    y, n = ret.relevant_in_sample, ret.sample_size
-    scale = unret.population_size / ret.population_size
+    (y,), (x,) = batch.relevant
+    # Counts as floats: exact below 2**53, and much cheaper to mix with phi.
+    x, y = x.astype(float), y.astype(float)
+    scale = unret_population / ret_population
     crit = chi_square_1df_quantile(level)
-    point = _point_or_none(problem)
 
-    def rec_of(phi: float) -> float:
-        if math.isinf(phi):
-            return 0.0
-        return 1.0 / (1.0 + scale * phi)
-
-    def stat(phi: float) -> float:
-        return _koopman_statistic(phi, x, m, y, n)
-
-    if x == 0 and y == 0:
-        return RecallInterval(0.0, 1.0, level, None, "koopman")
+    def acceptance(idx: np.ndarray):
+        xs, ys = x[idx], y[idx]
+        ms, ns = np.full(len(idx), float(m)), np.full(len(idx), float(n))
+        return lambda phi: _koopman_statistic(phi, xs, ms, ys, ns) <= crit
 
     # The statistic is zero at the unconstrained ratio MLE and grows on both
     # sides; the MLE is 0 when x = 0 and unbounded when y = 0, so those sides
     # start the bracket from an accepted finite point instead.
-    phi_hat = 0.0 if x == 0 else (math.inf if y == 0 else (x / m) / (y / n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi_hat = np.where(x == 0, 0.0, np.where(y == 0, np.inf, (x / m) / (y / n)))
+    up = np.flatnonzero(y > 0)  # finite upper phi bound (lower recall)
+    down = np.flatnonzero(x > 0)  # positive lower phi bound (upper recall)
+    unbounded = np.flatnonzero((y == 0) & (x > 0))
 
-    def accepted_point() -> float:
-        point = max(phi_hat, 1.0) if math.isfinite(phi_hat) else 1.0
-        while stat(point) > crit:
-            point *= 2.0
-            if point > 1e30:
-                break
-        return point
+    # Upper phi ends expand from max(2 phi_hat, 1) while accepted; pairs
+    # without an MLE walk from 1 to their first accepted point.
+    walk = np.concatenate([up, unbounded])
+    ends = _double_while(
+        acceptance(walk),
+        np.concatenate([np.maximum(2.0 * phi_hat[up], 1.0), np.ones(len(unbounded))]),
+        np.arange(len(walk)) < len(up),
+    )
+    inside_down = phi_hat.copy()
+    inside_down[unbounded] = ends[len(up):]
+    inside_down = inside_down[down]
+    lows = _halve_while_accepted(acceptance(down), inside_down / 2.0)
 
-    # Upper phi bound (lower recall).  Unbounded when y = 0.
-    if y == 0:
-        rec_lower = 0.0
-    else:
-        inside = phi_hat
-        hi = max(2.0 * phi_hat, 1.0)
-        while stat(hi) <= crit:
-            hi *= 2.0
-            if hi > 1e30:
-                break
-        rec_lower = rec_of(_bisect_cross(stat, crit, inside, hi))
+    cross = _bisect_cross(
+        acceptance(np.concatenate([up, down])),
+        np.concatenate([phi_hat[up], inside_down]),
+        np.concatenate([ends[: len(up)], lows]),
+    )
+    lower = np.zeros(len(x))
+    upper = np.ones(len(x))
+    lower[up] = 1.0 / (1.0 + scale * cross[: len(up)])
+    upper[down] = 1.0 / (1.0 + scale * cross[len(up):])
+    lower = np.minimum(np.maximum(lower, 0.0), 1.0)
+    return lower, np.minimum(np.maximum(upper, lower), 1.0)
 
-    # Lower phi bound (upper recall).  Zero when x = 0.
-    if x == 0:
-        rec_upper = 1.0
-    else:
-        inside = phi_hat if math.isfinite(phi_hat) else accepted_point()
-        lo = inside / 2.0
-        while lo > 0.0 and stat(lo) <= crit:
-            lo /= 2.0
-            if lo < 1e-300:
-                lo = 0.0
-                break
-        rec_upper = rec_of(_bisect_cross(stat, crit, inside, lo))
 
-    if y == 0:
-        rec_lower = 0.0
-    if x == 0:
-        rec_upper = 1.0
-    rec_lower = min(max(rec_lower, 0.0), 1.0)
-    rec_upper = min(max(rec_upper, rec_lower), 1.0)
-    return RecallInterval(rec_lower, rec_upper, level, point, "koopman")
+def _closed_form_interval(method: str, problem: RecallProblem, level: float) -> RecallInterval:
+    lower, upper = CLOSED_FORMS[method](CountBatch.of_problem(problem), level)
+    return RecallInterval(
+        float(lower[0]), float(upper[0]), level, _point_or_none(problem), method
+    )
+
+
+def naive_binomial(problem: RecallProblem, level: float) -> RecallInterval:
+    """The naive binomial interval of one problem; see ``naive_binomial_bounds``."""
+    return _closed_form_interval("naive-binomial", problem, level)
+
+
+def normal_interval_raw(
+    problem: RecallProblem, level: float, adjustment: int = 0
+) -> tuple[float, float]:
+    """(midpoint, halfwidth) of one problem's normal interval; see ``normal_mid_half``."""
+    mid, half = normal_mid_half(CountBatch.of_problem(problem), level, adjustment)
+    if math.isnan(mid[0]):
+        estimate_recall(problem)  # raises: no estimate exists
+    return float(mid[0]), float(half[0])
+
+
+def normal_interval(
+    problem: RecallProblem, level: float, adjustment: int = 0
+) -> RecallInterval:
+    """The normal interval of one problem; see ``normal_bounds``."""
+    if adjustment not in range(len(NORMAL_METHODS)):
+        raise ValueError("adjustment must be 0, 1, or 2")
+    return _closed_form_interval(NORMAL_METHODS[adjustment], problem, level)
+
+
+def koopman_interval(problem: RecallProblem, level: float) -> RecallInterval:
+    """The Koopman interval of one problem; see ``koopman_bounds``."""
+    return _closed_form_interval("koopman", problem, level)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo posterior intervals.
 # ---------------------------------------------------------------------------
+
+
+def _nearest_rank(q: float, d: int) -> int:
+    return min(max(math.ceil(q * d), 1), d)
+
+
+def equal_tail_quantiles(values: np.ndarray, level: float) -> tuple[float, float]:
+    """Nearest-rank equal-tail quantiles of an unsorted sample.
+
+    Two single-rank selections replace a full sort: one at the upper rank,
+    then one at the lower rank inside the prefix that the first leaves below
+    it.  Order statistics are values, so the result equals indexing the
+    sorted sample.
+    """
+    d = len(values)
+    alpha = 1.0 - level
+    lo = _nearest_rank(alpha / 2.0, d)
+    hi = _nearest_rank(1.0 - alpha / 2.0, d)
+    part = np.partition(values, hi - 1)
+    upper = float(part[hi - 1])
+    head = part[:hi]
+    head.partition(lo - 1)
+    return float(head[lo - 1]), upper
 
 
 def _resolve_prior(prior: PriorLike, stratum: StratumCounts) -> PriorSpec:
@@ -447,8 +559,8 @@ def monte_carlo_interval(
 
     Per draw, every stratum independently contributes a posterior yield
     draw; segment yields are summed and a recall value computed.  The
-    interval is the pair of equal-tail empirical quantiles (nearest rank on
-    the sorted draws).  The lower bound is forced to 0 when no relevant
+    interval is the pair of equal-tail empirical quantiles (nearest rank,
+    see ``equal_tail_quantiles``).  The lower bound is forced to 0 when no relevant
     documents were sampled from the retrieved segment, the upper to 1 when
     none were sampled from the unretrieved segment.
     """
@@ -465,11 +577,7 @@ def monte_carlo_interval(
 
     y1 = segment_yield_draws(problem.retrieved, family, prior, config.draws, config.rng, 0)
     y0 = segment_yield_draws(problem.unretrieved, family, prior, config.draws, config.rng, 1)
-    rec = y1 / (y1 + y0)
-    rec.sort()
-    alpha = 1.0 - level
-    lower = nearest_rank_quantile(rec, alpha / 2.0)
-    upper = nearest_rank_quantile(rec, 1.0 - alpha / 2.0)
+    lower, upper = equal_tail_quantiles(y1 / (y1 + y0), level)
     if r1 == 0:
         lower = 0.0
     if r0 == 0:
@@ -576,6 +684,24 @@ def _mcp_prior(stratum: StratumCounts) -> PriorSpec:
     return most_conservative_prior(stratum.population_size, stratum.sample_size)
 
 
+CLOSED_FORMS = {
+    "naive-binomial": naive_binomial_bounds,
+    **{tag: partial(normal_bounds, adjustment=c) for c, tag in enumerate(NORMAL_METHODS)},
+    "koopman": koopman_bounds,
+}
+"""Batch kernel of each closed-form method: (CountBatch, level) -> (lower, upper)."""
+
+POSTERIORS = {
+    "beta-jeffreys": (BETA_JEFFREYS, None),
+    "betabin-uniform": (BETA_BINOMIAL, PriorSpec(1.0, 1.0)),
+    "betabin-mcp": (BETA_BINOMIAL, _mcp_prior),
+    "betabin-half": (BETA_BINOMIAL, PriorSpec(0.5, 0.5)),
+}
+"""Posterior family and prior of each Monte Carlo method."""
+
+MONTE_CARLO_METHODS = frozenset(POSTERIORS)
+
+
 def compute_interval(
     method: str,
     problem: RecallProblem,
@@ -583,30 +709,9 @@ def compute_interval(
     config: MonteCarloConfig | None = None,
 ) -> RecallInterval:
     """Dispatch to any of the nine interval methods by tag."""
-    if method == "naive-binomial":
-        return naive_binomial(problem, level)
-    if method == "normal-mle":
-        return normal_interval(problem, level, 0)
-    if method == "normal-laplace":
-        return normal_interval(problem, level, 1)
-    if method == "normal-agresti":
-        return normal_interval(problem, level, 2)
-    if method == "koopman":
-        return koopman_interval(problem, level)
-    if method == "beta-jeffreys":
-        return monte_carlo_interval(
-            problem, level, BETA_JEFFREYS, config=config, method_tag=method
-        )
-    if method == "betabin-uniform":
-        return monte_carlo_interval(
-            problem, level, BETA_BINOMIAL, PriorSpec(1.0, 1.0), config, method
-        )
-    if method == "betabin-half":
-        return monte_carlo_interval(
-            problem, level, BETA_BINOMIAL, PriorSpec(0.5, 0.5), config, method
-        )
-    if method == "betabin-mcp":
-        return monte_carlo_interval(
-            problem, level, BETA_BINOMIAL, _mcp_prior, config, method
-        )
+    if method in CLOSED_FORMS:
+        return _closed_form_interval(method, problem, level)
+    if method in POSTERIORS:
+        family, prior = POSTERIORS[method]
+        return monte_carlo_interval(problem, level, family, prior, config, method)
     raise ValueError(f"unknown interval method: {method!r}")

@@ -1,5 +1,6 @@
 """The nine recall interval methods."""
 
+import math
 import warnings
 
 import numpy as np
@@ -10,16 +11,21 @@ from scipy.special import betaln, gammaln
 
 from recallci.core import RecallProblem, SegmentData, StratumCounts, UndefinedEstimateError
 from recallci.distributions import BetaBinomialParams, beta_binomial_pmf, chi_square_1df_quantile
+from recallci import intervals
 from recallci.intervals import (
     BETA_BINOMIAL,
     BETA_JEFFREYS,
+    CLOSED_FORMS,
     METHODS,
+    CountBatch,
     MonteCarloConfig,
     PriorSpec,
     RecallInterval,
     _koopman_statistic,
     compute_interval,
+    equal_tail_quantiles,
     expected_information_gain,
+    koopman_bounds,
     koopman_interval,
     monte_carlo_interval,
     most_conservative_prior,
@@ -151,7 +157,7 @@ class TestKoopman:
         iv = koopman_interval(AUDIT_PROBLEM, 0.95)
         crit = chi_square_1df_quantile(0.95)
         phis = np.exp(np.linspace(np.log(1e-4), np.log(1e4), 400_001))
-        ok = [p for p in phis if _koopman_statistic(p, 3, 100, 50, 100) <= crit]
+        ok = phis[_koopman_statistic(phis, 3, 100, 50, 100) <= crit]
         scale = 100000 / 2000
         lo_scan = 1 / (1 + scale * ok[-1])
         hi_scan = 1 / (1 + scale * ok[0])
@@ -402,3 +408,101 @@ def test_interval_bounds_always_ordered_in_unit_range(method):
             iv = compute_interval(method, prob, 0.95, config)
         assert 0.0 <= iv.lower <= iv.upper <= 1.0
         assert isinstance(iv, RecallInterval)
+
+
+# Designs as (retrieved population, sample, unretrieved population, sample).
+BATCH_DESIGNS = (
+    (2000, 100, 100000, 100),
+    (100, 10, 1000, 20),  # every count up to all-relevant samples
+    (5, 5, 10**9, 3),
+    (10**9, 1, 10**9, 1),
+)
+
+
+def design_pairs(design, gen):
+    """Counts of a design: the extremes of both segments and random interior pairs."""
+    _, n1, _, n0 = design
+    edges = [(r1, r0) for r1 in {0, 1, n1} for r0 in {0, 1, n0}]
+    interior = zip(gen.integers(0, n1 + 1, 40).tolist(), gen.integers(0, n0 + 1, 40).tolist())
+    return sorted(set(edges) | set(interior))
+
+
+def batch_of(design, pairs):
+    n_ret, s_ret, n_unret, s_unret = design
+    r1, r0 = np.array(pairs).T
+    return CountBatch.simple(n_ret, s_ret, r1, n_unret, s_unret, r0)
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("method", sorted(CLOSED_FORMS))
+    @pytest.mark.parametrize("design", BATCH_DESIGNS)
+    def test_batch_bounds_equal_each_pair_alone(self, method, design):
+        pairs = design_pairs(design, np.random.default_rng(sum(design) % 2**32))
+        if method == "naive-binomial":
+            pairs.remove((0, 0))
+        for level in (0.95, 0.5, 0.999):
+            lower, upper = CLOSED_FORMS[method](batch_of(design, pairs), level)
+            for k, (r1, r0) in enumerate(pairs):
+                alone = CLOSED_FORMS[method](batch_of(design, [(r1, r0)]), level)
+                assert (lower[k], upper[k]) == (alone[0][0], alone[1][0]), (r1, r0)
+                n_ret, s_ret, n_unret, s_unret = design
+                problem = RecallProblem.simple(n_ret, s_ret, r1, n_unret, s_unret, r0)
+                iv = compute_interval(method, problem, level)
+                assert (iv.lower, iv.upper) == (lower[k], upper[k]), (r1, r0)
+
+    def test_koopman_covers_the_accepted_point_path(self):
+        # r1 = 0 with r0 > 0: no ratio MLE, the bracket starts from an
+        # accepted point found by doubling from 1
+        lower, upper = koopman_bounds(batch_of((2000, 100, 100000, 100), [(0, 3)]), 0.95)
+        assert lower[0] == 0.0 and 0.0 < upper[0] < 1.0
+
+    @pytest.mark.parametrize("crit", (math.inf, -1.0))
+    def test_koopman_bracket_caps_batch_independent(self, monkeypatch, crit):
+        # Every ratio accepted drives the upper end past 1e30 and the lower end
+        # below 1e-300; none accepted drives the accepted-point walk to 1e30.
+        monkeypatch.setattr(intervals, "chi_square_1df_quantile", lambda level: crit)
+        design = (2000, 100, 100000, 100)
+        pairs = design_pairs(design, np.random.default_rng(3))
+        lower, upper = koopman_bounds(batch_of(design, pairs), 0.95)
+        for k, pair in enumerate(pairs):
+            alone = koopman_bounds(batch_of(design, [pair]), 0.95)
+            assert (lower[k], upper[k]) == (alone[0][0], alone[1][0]), pair
+        r1, r0 = np.array(pairs).T
+        if crit > 0:
+            # phi from past 1e30 down to the bisection width above 0
+            assert np.all(lower[r1 > 0] < 1e-25)
+            assert np.all(upper[r0 > 0] > 1.0 - 1e-6)
+        else:
+            assert np.all(upper[(r1 == 0) & (r0 > 0)] < 1e-25)
+
+    def test_walks_stop_at_the_caps(self):
+        always = lambda phi: np.ones(phi.shape, dtype=bool)  # noqa: E731
+        start = np.array([1.0, 3.0, 1e31])
+        ends = intervals._double_while(always, start, np.ones(3, dtype=bool))
+        for begin, end in zip(start, ends):
+            phi = begin
+            while True:
+                phi *= 2.0
+                if phi > 1e30:
+                    break
+            assert end == phi
+        assert np.array_equal(
+            intervals._halve_while_accepted(always, np.array([1.0, 1e-299, 0.0])), np.zeros(3)
+        )
+
+    def test_empty_batch(self):
+        for method, kernel in CLOSED_FORMS.items():
+            lower, upper = kernel(batch_of((100, 10, 1000, 20), np.empty((0, 2), int)), 0.95)
+            assert lower.shape == upper.shape == (0,), method
+
+
+@pytest.mark.parametrize("level", (0.95, 0.5, 0.999, 0.001))
+@pytest.mark.parametrize("size", (1000, 1001, 40_000))
+def test_equal_tail_quantiles_match_sorted_nearest_rank(level, size):
+    gen = np.random.default_rng(size)
+    values = np.round(gen.beta(2.0, 5.0, size), 3)  # ties included
+    ordered = np.sort(values)
+    alpha = 1.0 - level
+    ranks = [min(max(math.ceil(q * size), 1), size) for q in (alpha / 2.0, 1.0 - alpha / 2.0)]
+    expected = tuple(float(ordered[r - 1]) for r in ranks)
+    assert equal_tail_quantiles(values, level) == expected
