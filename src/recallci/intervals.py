@@ -157,11 +157,12 @@ def _point_or_none(problem: RecallProblem) -> float | None:
 # Closed-form and Koopman kernels over batches of samples.
 #
 # Each kernel takes a CountBatch and returns arrays of lower and upper bounds,
-# one per sample.  The arithmetic follows the scalar formulas operation by
-# operation, so a batch gives the same bits as its samples computed one at a
-# time.  Squares and fourth powers use np.float_power, which calls the C
-# library's pow as Python's ``**`` does; np.power may take a SIMD path that
-# differs in the last bit.
+# one per sample.  Every element goes through the same sequence of IEEE
+# operations whatever else is in the batch, so a batch gives the same bits as
+# its samples computed one at a time; coverage tallies flip on last-bit
+# changes, so this is what keeps reports reproducible.  Squares and fourth
+# powers use np.float_power, which calls the C library's pow as Python's
+# ``**`` does; np.power may take a SIMD path that differs in the last bit.
 # ---------------------------------------------------------------------------
 
 

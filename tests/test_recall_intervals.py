@@ -17,6 +17,7 @@ from recallci.intervals import (
     BETA_JEFFREYS,
     CLOSED_FORMS,
     METHODS,
+    NORMAL_METHODS,
     CountBatch,
     MonteCarloConfig,
     PriorSpec,
@@ -450,11 +451,17 @@ class TestBatchKernels:
                 iv = compute_interval(method, problem, level)
                 assert (iv.lower, iv.upper) == (lower[k], upper[k]), (r1, r0)
 
-    def test_koopman_covers_the_accepted_point_path(self):
-        # r1 = 0 with r0 > 0: no ratio MLE, the bracket starts from an
-        # accepted point found by doubling from 1
-        lower, upper = koopman_bounds(batch_of((2000, 100, 100000, 100), [(0, 3)]), 0.95)
-        assert lower[0] == 0.0 and 0.0 < upper[0] < 1.0
+    @pytest.mark.parametrize("method", ["naive-binomial", *NORMAL_METHODS])
+    def test_stratified_batch_equals_each_sample_alone(self, method):
+        strata = (((1000, 50), (1000, 40)), ((50000, 100), (50000, 100), (7, 7)))
+        gen = np.random.default_rng(8)
+        relevant = tuple(
+            tuple(gen.integers(0, sample + 1, 30) for _, sample in segment) for segment in strata
+        )
+        lower, upper = CLOSED_FORMS[method](CountBatch(strata, relevant), 0.95)
+        for k in range(30):
+            alone = CountBatch(strata, tuple(tuple(r[k:k + 1] for r in seg) for seg in relevant))
+            assert (lower[k], upper[k]) == tuple(b[0] for b in CLOSED_FORMS[method](alone, 0.95))
 
     @pytest.mark.parametrize("crit", (math.inf, -1.0))
     def test_koopman_bracket_caps_batch_independent(self, monkeypatch, crit):
