@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import binomial
 from .core import (
@@ -354,9 +355,14 @@ def _cmd_binom(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    # Parsing leaves no state in the parser, so one serves every call.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit:

@@ -33,6 +33,7 @@ from .intervals import (
     MonteCarloConfig,
     compute_interval,
     equal_tail_quantiles,
+    exact_posterior_bounds,
     normal_mid_half,
     segment_yield_draws,
 )
@@ -301,13 +302,16 @@ def _evaluate_realization(
     out: dict[str, tuple[float, float, float, float, float]] = {}
     for m_idx, method in enumerate(config.methods):
         if method in POSTERIORS:
-            lower, upper = _mc_pair_bounds(
-                method,
-                batch,
-                config.level,
-                config.mc_draws,
-                base.substream(_NS_POSTERIOR, index, m_idx),
-            )
+            bounds = exact_posterior_bounds(method, batch, config.level)
+            if bounds is None:
+                bounds = _mc_pair_bounds(
+                    method,
+                    batch,
+                    config.level,
+                    config.mc_draws,
+                    base.substream(_NS_POSTERIOR, index, m_idx),
+                )
+            lower, upper = bounds
         else:
             lower, upper = CLOSED_FORMS[method](batch, config.level)
         above_mask = true_rec > upper

@@ -13,7 +13,7 @@ koopman                 inverted chi-square test on the ratio of the two
                         segment proportions (single stratum per segment only)
 beta-jeffreys           Monte Carlo quantiles from per-stratum beta posteriors
                         under Jeffreys priors
-betabin-uniform         Monte Carlo quantiles from per-stratum beta-binomial
+betabin-uniform         equal-tail quantiles of per-stratum beta-binomial
                         posteriors, uniform prior (alpha = beta = 1)
 betabin-mcp             as above with the most conservative prior per stratum
 betabin-half            as above with alpha = beta = 0.5
@@ -22,6 +22,12 @@ betabin-half            as above with alpha = beta = 0.5
 All methods force the lower bound to 0 when the retrieved sample holds no
 relevant documents, and the upper bound to 1 when the unretrieved sample
 holds none, where those rules apply.
+
+The beta-binomial bounds are exact whenever every stratum remainder
+(population - sample) is at most ``EXACT_REMAINDER_MAX``: the posterior of
+recall is then enumerated, and the Monte Carlo draw count and seed have no
+effect.  Larger remainders, and ``beta-jeffreys`` always, take Monte Carlo
+quantiles.
 """
 
 from __future__ import annotations
@@ -30,11 +36,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtri
 
 from .core import (
     RETRIEVED,
@@ -67,6 +73,9 @@ __all__ = [
     "normal_interval_raw",
     "koopman_interval",
     "monte_carlo_interval",
+    "EXACT_REMAINDER_MAX",
+    "betabin_exact_bounds",
+    "exact_posterior_bounds",
     "most_conservative_prior",
     "expected_information_gain",
     "compute_interval",
@@ -587,6 +596,391 @@ def monte_carlo_interval(
 
 
 # ---------------------------------------------------------------------------
+# Exact beta-binomial posterior quantiles.
+#
+# A segment's posterior yield is the sum over its strata of the observed
+# count plus a beta-binomial count over the unsampled remainder, so its pmf
+# is the convolution of the strata pmfs.  Recall R = Y1 / (Y1 + Y0) has
+# finitely many atoms, and the bounds are the smallest atoms at which the
+# posterior mass at or below reaches alpha/2 (lower) and the mass above
+# falls to alpha/2 (upper): the limit of the nearest-rank Monte Carlo
+# quantiles as the draw count grows.  Each sample's search reads only its
+# own pmfs and sums in a fixed order, so a batch gives the same bits as its
+# samples computed one at a time.
+# ---------------------------------------------------------------------------
+
+EXACT_REMAINDER_MAX = 20_000
+"""Largest stratum remainder (population - sample) for exact quantiles.
+
+Beta-binomial bounds are exact when every stratum remainder of the problem
+is at most this; above it the Monte Carlo path runs.  The exact search of
+one audit costs about as much as its 40,000 posterior draws at remainders
+near 50,000 (on a 2-core x86 host); this limit keeps it at under 60% of
+their cost.
+"""
+
+# Each stratum pmf drops a tail only while its mass stays below this share of
+# alpha/2, under the rounding error of the tail sums themselves.
+_TAIL_SHARE = 1e-15
+
+
+def _stratum_posteriors(
+    population: int, sample: int, counts, prior: PriorLike, tail: float
+) -> dict[int, tuple[int, np.ndarray]]:
+    """Truncated posterior pmf of one stratum's yield per relevant count.
+
+    Maps each count r of the sorted ``counts`` to (smallest kept yield, pmf
+    over consecutive yields).  Counts less than a remainder apart read their
+    log pmfs from shared log-gamma tables.  Each pmf keeps the yields from
+    the first to the last whose probability exceeds ``tail`` / (remainder +
+    1), so either dropped tail holds at most ``tail``, and is normalised by
+    its own sum.
+    """
+    remainder = population - sample
+    if remainder == 0:
+        return {r: (r, np.ones(1)) for r in counts}
+    g_one = gammaln(1.0 + np.arange(remainder + 1))
+    log_c = g_one[remainder] - g_one - g_one[::-1]
+    floor = math.log(tail / (remainder + 1)) if tail > 0.0 else -math.inf
+    groups: list[list[int]] = []
+    for r in counts:
+        if groups and r - groups[-1][-1] <= remainder:
+            groups[-1].append(r)
+        else:
+            groups.append([r])
+    out = {}
+    for group in groups:
+        lo, hi = group[0], group[-1]
+        tables: dict[PriorSpec, tuple[np.ndarray, np.ndarray]] = {}
+        for r in group:
+            spec = _resolve_prior(prior, StratumCounts(population, sample, r))
+            if spec not in tables:
+                tables[spec] = (
+                    gammaln(spec.alpha + np.arange(lo, hi + remainder + 1)),
+                    gammaln(spec.beta + np.arange(sample - hi, sample - lo + remainder + 1)),
+                )
+            g_alpha, g_beta = tables[spec]
+            # log C(rem, k) + log G(alpha + r + k) + log G(beta + sample - r + rem - k),
+            # up to a constant.
+            log_p = (
+                log_c
+                + g_alpha[r - lo : r - lo + remainder + 1]
+                + g_beta[hi - r : hi - r + remainder + 1][::-1]
+            )
+            log_p -= log_p.max()
+            kept = np.flatnonzero(log_p > floor)
+            p = np.exp(log_p[kept[0] : kept[-1] + 1])
+            out[r] = (r + int(kept[0]), p / p.sum())
+    return out
+
+
+class _Posteriors(NamedTuple):
+    """Posterior yield pmfs of one segment, one row per distinct count vector."""
+
+    first: np.ndarray  # smallest kept yield
+    length: np.ndarray  # support length
+    pmf: np.ndarray  # pmfs, zero-padded to the longest support
+    mean: np.ndarray
+    var: np.ndarray
+
+
+def _segment_posteriors(strata, counts, prior: PriorLike, tail: float):
+    """Each sample's row index and the posterior yield pmfs of a segment."""
+    keys, rows = np.unique(np.stack(counts, axis=1), axis=0, return_inverse=True)
+    per_stratum = [
+        _stratum_posteriors(population, sample, sorted(set(keys[:, s].tolist())), prior, tail)
+        for s, (population, sample) in enumerate(strata)
+    ]
+    firsts, pmfs = [], []
+    for key in keys.tolist():
+        first, pmf = per_stratum[0][key[0]]
+        for s in range(1, len(key)):
+            offset, p = per_stratum[s][key[s]]
+            first, pmf = first + offset, np.convolve(pmf, p)
+        firsts.append(first)
+        pmfs.append(pmf)
+    lengths = np.array([len(p) for p in pmfs])
+    padded = np.zeros((len(pmfs), lengths.max()))
+    mean, var = np.empty(len(pmfs)), np.empty(len(pmfs))
+    for i, (first, p) in enumerate(zip(firsts, pmfs)):
+        padded[i, : len(p)] = p
+        y = first + np.arange(len(p))
+        mean[i] = p @ y
+        var[i] = p @ (y - mean[i]) ** 2
+    return rows.reshape(-1), _Posteriors(np.array(firsts, dtype=float), lengths, padded, mean, var)
+
+
+# Below this total yield a float atom lies within a fraction of a count of
+# the rational it rounds, so one correction step either way fixes the
+# estimate of each boundary count; at or above it the steps repeat until
+# none moves.
+_SETTLED_TOTAL = 2.0**26
+# Elements x outer support length per search chunk: bounds the working arrays
+# at a quarter megabyte each.
+_CHUNK_CELLS = 1 << 15
+# Tail masses are scored within [_TINY_MASS, 1 - _EPS_MASS], where ndtri is finite.
+_TINY_MASS = 1e-300
+_EPS_MASS = 2.0**-53
+
+
+def _inner_index(t, ratio, outer, first, length, by_y0, settle):
+    """Per outer yield, the inner table index of the atoms at or below t.
+
+    With ``by_y0`` the outer yields are y0 and the index is 1 + the largest
+    y1 with y1 / (y1 + y0) <= t, less the smallest y1 of the support; else
+    the outer yields are y1 and the index is the smallest y0 with an atom at
+    or below t, less the smallest y0.  ``ratio`` is t / (1 - t) (y0 outer) or
+    (1 - t) / t (y1 outer).  The estimate from it is corrected against the
+    atoms' own quotients, one step either way, or until no step moves when
+    ``settle`` is set.
+    """
+    # Counts are kept to the support and one past its end, where the index
+    # saturates; NaN from 0 * inf at t <= 0 takes the far end.
+    if by_y0:
+        lo, hi, toward = first - 1.0, first + length - 1.0, np.floor
+    else:
+        lo, hi, toward = first, first + length, np.ceil
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.fmax(np.fmin(toward(outer * ratio), hi), lo)
+        while True:
+            if by_y0:
+                up = k + 1.0
+                step = (up / (up + outer) <= t).astype(float) - (k / (k + outer) > t)
+            else:
+                down = k - 1.0
+                step = (outer / (outer + k) > t).astype(float) - (outer / (outer + down) <= t)
+            moved = np.fmax(np.fmin(k + step, hi), lo)
+            if not settle or np.array_equal(moved, k):
+                return moved - lo
+            k = moved
+
+
+def _inner_tables(inner: _Posteriors, by_y0: bool):
+    """Flat tables over (row, inner index) of the inner segment.
+
+    The first half holds the mass of atoms at or below t for each inner
+    index, the second half the mass above; ``pmf`` holds the probability of
+    the inner yield at each index.  Rows are ``stride`` apart.
+    """
+    zeros = np.zeros((len(inner.pmf), 1))
+    pmf = np.hstack([inner.pmf, zeros])
+    below = np.cumsum(np.hstack([zeros, inner.pmf]), axis=1)
+    at_or_above = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+    # With y0 outer the atoms at or below t are the inner yields below the
+    # index; with y1 outer, those at or above it.
+    halves = (below, at_or_above) if by_y0 else (at_or_above, below)
+    return np.concatenate([h.ravel() for h in halves]), pmf.ravel(), pmf.shape[1]
+
+
+def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper, tail):
+    """Posterior quantiles of recall, summing over one segment's yields.
+
+    Each element is an (outer row, inner row, side) triple; ``upper``
+    selects the upper bound (mass above t falls to ``tail``) instead of the
+    lower one (mass at or below t reaches ``tail``).  Each element keeps a
+    bracket: t_lo, where the tail mass has not crossed, starts just below
+    its smallest atom, and t_hi, where it has, at its largest atom.  The
+    first probe is a logit-normal approximation of the quantile; the next
+    ones step away from it, doubling the step, until the crossing is seen
+    from both sides, and then interpolate on the normal scores of the tail
+    masses (Illinois).  Once no outer yield has more than one atom between
+    the ends, those atoms are sorted and their masses accumulated from the
+    lower end's tail mass.
+    """
+    table, pmf, stride = tables
+    pmf_base = (inner_rows * stride).astype(float)
+    tail_base = pmf_base + np.where(upper, len(table) // 2, 0)
+    first_i = inner.first[inner_rows]
+    length_i = inner.length[inner_rows].astype(float)
+    # Outer yields down the columns, zero mass past each element's support.
+    length_o = outer.length[outer_rows]
+    width = int(length_o.max())
+    steps = np.arange(width)[:, None]
+    w = np.ascontiguousarray(outer.pmf[outer_rows, :width].T)
+    first_o = outer.first[outer_rows]
+    outer_y = first_o + steps
+    valid = steps < length_o
+
+    ends_o, ends_i = (first_o, first_o + length_o - 1.0), (first_i, first_i + length_i - 1.0)
+    (y1_lo, y1_hi), (y0_lo, y0_hi) = (ends_i, ends_o) if by_y0 else (ends_o, ends_i)
+    post1, rows1, post0, rows0 = (
+        (inner, inner_rows, outer, outer_rows) if by_y0 else (outer, outer_rows, inner, inner_rows)
+    )
+    mu1, var1, mu0, var0 = post1.mean[rows1], post1.var[rows1], post0.mean[rows0], post0.var[rows0]
+    span_scale = y0_hi if by_y0 else y1_hi
+    settle = bool(np.any(y1_hi + y0_hi >= _SETTLED_TOTAL))
+    target = ndtri(tail)
+
+    def ratio(t):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if by_y0:
+                return t / (1.0 - t)
+            # No atom lies at or below t <= 0 unless y1 = 0 and t = 0, which
+            # the search never evaluates.
+            return np.where(t > 0.0, (1.0 - t) / t, np.inf)
+
+    def index(t, live):
+        return _inner_index(
+            t, ratio(t), outer_y[:, live], first_i[live], length_i[live], by_y0, settle
+        )
+
+    def mass(idx, live):
+        gathered = table[(idx + tail_base[live]).astype(np.int64)]
+        gathered *= w[:, live]
+        # A running sum down each column: the same order at any batch size.
+        return np.cumsum(gathered, axis=0, out=gathered)[-1]
+
+    m = len(outer_rows)
+    cols = np.arange(m)
+    t_lo = np.nextafter(y1_lo / (y1_lo + y0_hi), -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_hi = y1_hi / (y1_hi + y0_lo)
+        # Logit-normal approximation: log Y1 - log Y0 is close to normal.
+        sd = np.sqrt(var1 / (mu1 * mu1) + var0 / (mu0 * mu0))
+        probe = 1.0 / (
+            1.0 + np.exp(np.log(mu0) - np.log(mu1) - np.where(upper, -target, target) * sd)
+        )
+        step = 0.25 * sd * probe * (1.0 - probe)
+    m_lo = mass(np.zeros((width, m)) if by_y0 else np.broadcast_to(length_i, (width, m)), cols)
+    # Signed distance of each end's tail mass past the target in normal
+    # scores, negative at t_lo and not negative at t_hi; an end kept twice in
+    # a row has its distance halved (Illinois).
+    g_lo, g_hi = np.full(m, -np.inf), np.full(m, np.inf)
+    kept = np.zeros(m)
+    out = np.empty(m)
+    while len(cols):
+        mid = 0.5 * (t_lo + t_hi)
+        # Adjacent floats: the crossing atom can only be t_hi itself.
+        stuck = (mid <= t_lo) | (mid >= t_hi)
+        out[cols[stuck]] = t_hi[stuck]
+        # At most one atom per outer yield between the ends once the ratio
+        # moves by less than one count over the largest outer yield.
+        near = (np.abs(ratio(t_hi) - ratio(t_lo)) * span_scale[cols] < 1.0) & ~stuck
+        if near.any():
+            live = cols[near]
+            i_lo, i_hi = index(t_lo[near], live), index(t_hi[near], live)
+            single = np.where(valid[:, live], np.abs(i_hi - i_lo), 0.0).max(axis=0) <= 1.0
+            live = live[single]
+            out[live] = _first_crossing(
+                i_lo[:, single], i_hi[:, single], outer_y[:, live], valid[:, live],
+                w[:, live], pmf, pmf_base[live], first_i[live], m_lo[near][single],
+                upper[live], tail, by_y0,
+            )
+            near[np.flatnonzero(near)[~single]] = False
+        keep = ~(near | stuck)
+        cols, mid, t_lo, t_hi, m_lo = cols[keep], mid[keep], t_lo[keep], t_hi[keep], m_lo[keep]
+        probe, step, g_lo, g_hi, kept = probe[keep], step[keep], g_lo[keep], g_hi[keep], kept[keep]
+        if not len(cols):
+            break
+        open_lo, open_hi = np.isinf(g_lo), np.isinf(g_hi)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            guess = t_lo + (t_hi - t_lo) * (g_lo / (g_lo - g_hi))
+        probe = np.where(
+            open_lo & ~open_hi,
+            t_hi - step,
+            np.where(open_hi & ~open_lo, t_lo + step, np.where(open_lo, probe, guess)),
+        )
+        probe = np.where((probe > t_lo) & (probe < t_hi), probe, mid)
+        m_probe = mass(index(probe, cols), cols)
+        score = ndtri(np.clip(m_probe, _TINY_MASS, 1.0 - _EPS_MASS))
+        g = np.where(upper[cols], target - score, score - target)
+        reached = g >= 0.0
+        t_hi = np.where(reached, probe, t_hi)
+        t_lo = np.where(reached, t_lo, probe)
+        m_lo = np.where(reached, m_lo, m_probe)
+        g_hi = np.where(reached, g, np.where(kept > 0, 0.5 * g_hi, g_hi))
+        g_lo = np.where(reached, np.where(kept < 0, 0.5 * g_lo, g_lo), g)
+        kept = np.where(reached, -1.0, 1.0)
+        step = 2.0 * step
+    return out
+
+
+def _first_crossing(i_lo, i_hi, outer, valid, w, pmf, base, first_i, m_lo, upper, tail, by_y0):
+    """The atom between two search ends at which the tail mass crosses ``tail``.
+
+    Between the ends each outer yield has at most one atom, at the inner
+    yield of table index min(i_lo, i_hi).
+    """
+    between = valid & (i_hi != i_lo)
+    at = np.minimum(i_lo, i_hi)
+    inner = first_i + at
+    y1, y0 = (inner, outer) if by_y0 else (outer, inner)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        atoms = np.where(between, y1 / (y1 + y0), np.inf)
+    masses = np.where(between, pmf[(at + base).astype(np.int64)] * w, 0.0)
+    order = np.argsort(atoms, axis=0, kind="stable")
+    atoms = np.take_along_axis(atoms, order, axis=0)
+    run = np.cumsum(np.take_along_axis(masses, order, axis=0), axis=0)
+    reached = np.where(upper, m_lo - run <= tail, m_lo + run >= tail)
+    # Rounding may leave the running mass a hair short at the last atom, the
+    # one t_hi reached.
+    count = between.sum(axis=0)
+    pick = np.where(reached.any(axis=0), reached.argmax(axis=0), count - 1)
+    return atoms[pick, np.arange(atoms.shape[1])]
+
+
+def _exact_quantiles(post1, post0, rows1, rows0, upper, tail):
+    """Posterior quantiles of recall for each (row1, row0, side) element.
+
+    Each element sums over the segment whose support is shorter.  Elements
+    run in chunks of similar support length, few enough that the working
+    arrays stay small; each element's result depends only on its own pmfs.
+    """
+    out = np.empty(len(rows1))
+    lengths1, lengths0 = post1.length[rows1], post0.length[rows0]
+    for by_y0, pick in ((True, lengths0 <= lengths1), (False, lengths0 > lengths1)):
+        idx = np.flatnonzero(pick)
+        if not len(idx):
+            continue
+        outer, inner = (post0, post1) if by_y0 else (post1, post0)
+        rows_o, rows_i = (rows0, rows1) if by_y0 else (rows1, rows0)
+        idx = idx[np.argsort(outer.length[rows_o[idx]], kind="stable")]
+        tables = _inner_tables(inner, by_y0)
+        size = max(1, _CHUNK_CELLS // int(outer.length[rows_o[idx[-1]]]))
+        for start in range(0, len(idx), size):
+            part = idx[start : start + size]
+            out[part] = _quantile_search(
+                outer, rows_o[part], inner, rows_i[part], tables, by_y0, upper[part], tail
+            )
+    return out
+
+
+def betabin_exact_bounds(
+    batch: CountBatch, level: float, prior: PriorLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact equal-tail beta-binomial bounds on recall for every sample.
+
+    Forcing rules as for ``monte_carlo_interval``: the lower bound is 0 when
+    the retrieved sample holds no relevant document, the upper bound 1 when
+    the unretrieved sample holds none, so a (0, 0) sample gets [0, 1].
+    """
+    if not 0.0 < level < 1.0:
+        raise ValueError("confidence level must lie strictly inside (0, 1)")
+    tail = (1.0 - level) / 2.0
+    r1s, r0s = batch.totals()
+    lower, upper = np.zeros(len(r1s)), np.ones(len(r1s))
+    # (0, 0) samples take no posterior, so their priors are never resolved.
+    sub = np.flatnonzero((r1s > 0) | (r0s > 0))
+    if not len(sub):
+        return lower, upper
+    cut = _TAIL_SHARE * tail
+    rows1, post1 = _segment_posteriors(
+        batch.strata[0], [r[sub] for r in batch.relevant[0]], prior, cut
+    )
+    rows0, post0 = _segment_posteriors(
+        batch.strata[1], [r[sub] for r in batch.relevant[1]], prior, cut
+    )
+    need_lo, need_hi = np.flatnonzero(r1s[sub] > 0), np.flatnonzero(r0s[sub] > 0)
+    which = np.concatenate([need_lo, need_hi])
+    bounds = _exact_quantiles(
+        post1, post0, rows1[which], rows0[which], np.arange(len(which)) >= len(need_lo), tail
+    )
+    lower[sub[need_lo]] = bounds[: len(need_lo)]
+    upper[sub[need_hi]] = bounds[len(need_lo) :]
+    return lower, np.maximum(lower, upper)
+
+
+# ---------------------------------------------------------------------------
 # Most conservative beta-binomial prior.
 # ---------------------------------------------------------------------------
 
@@ -703,6 +1097,25 @@ POSTERIORS = {
 MONTE_CARLO_METHODS = frozenset(POSTERIORS)
 
 
+def exact_posterior_bounds(
+    method: str, batch: CountBatch, level: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Exact bounds of a beta-binomial method, or None where Monte Carlo runs.
+
+    The bounds are exact when every stratum remainder of the batch's design
+    is at most ``EXACT_REMAINDER_MAX``.  ``beta-jeffreys``, whose posterior
+    is continuous, always runs Monte Carlo.
+    """
+    family, prior = POSTERIORS[method]
+    if family != BETA_BINOMIAL or any(
+        population - sample > EXACT_REMAINDER_MAX
+        for strata in batch.strata
+        for population, sample in strata
+    ):
+        return None
+    return betabin_exact_bounds(batch, level, prior)
+
+
 def compute_interval(
     method: str,
     problem: RecallProblem,
@@ -713,6 +1126,14 @@ def compute_interval(
     if method in CLOSED_FORMS:
         return _closed_form_interval(method, problem, level)
     if method in POSTERIORS:
-        family, prior = POSTERIORS[method]
-        return monte_carlo_interval(problem, level, family, prior, config, method)
+        if config is None:
+            raise ValueError("monte carlo interval estimation requires a MonteCarloConfig")
+        exact = exact_posterior_bounds(method, CountBatch.of_problem(problem), level)
+        if exact is None:
+            family, prior = POSTERIORS[method]
+            return monte_carlo_interval(problem, level, family, prior, config, method)
+        (lower,), (upper,) = exact
+        return RecallInterval(
+            float(lower), float(upper), level, _point_or_none(problem), method
+        )
     raise ValueError(f"unknown interval method: {method!r}")

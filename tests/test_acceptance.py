@@ -195,6 +195,35 @@ def test_small_instance_oracle_equivalence():
             checked += 1
 
 
+def test_small_instance_oracle_equivalence_exact():
+    with criterion("small-instance-oracle-exact"):
+        gen = np.random.default_rng(60_601)
+        prior = PriorSpec(0.5, 0.5)
+        config = MonteCarloConfig(rng=RandomStream(909_000), draws=1000)
+        checked = 0
+        while checked < 50:
+            n1_pop = int(gen.integers(3, 61))
+            n0_pop = int(gen.integers(3, 61))
+            s1 = int(gen.integers(1, n1_pop + 1))
+            s0 = int(gen.integers(1, n0_pop + 1))
+            r1 = int(gen.integers(0, s1 + 1))
+            r0 = int(gen.integers(0, s0 + 1))
+            if r1 == 0 and r0 == 0:
+                continue
+            problem = RecallProblem.simple(n1_pop, s1, r1, n0_pop, s0, r0)
+            interval = compute_interval("betabin-half", problem, 0.95, config)
+            exact_lo, exact_hi = _exhaustive_posterior_quantiles(
+                n1_pop, s1, r1, n0_pop, s0, r0, prior, 0.95
+            )
+            if r1 == 0:
+                exact_lo = 0.0
+            if r0 == 0:
+                exact_hi = 1.0
+            assert abs(interval.lower - exact_lo) <= 1e-12, (checked, "lower")
+            assert abs(interval.upper - max(exact_lo, exact_hi)) <= 1e-12, (checked, "upper")
+            checked += 1
+
+
 def test_property_pmf_normalization():
     with criterion("pmf-normalization"):
         gen = np.random.default_rng(7_001)

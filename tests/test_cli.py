@@ -279,3 +279,45 @@ class TestBinom:
         assert lines[1] == "pi,coverage"
         assert len(lines) == 2 + 199
         assert "mean coverage 0.95" in capsys.readouterr().out
+
+
+class TestSharedParser:
+    """``main`` reuses one parser; results match a fresh parser per call."""
+
+    CALLS = (
+        ["interval", "--retrieved", "2000,100,50", "--unretrieved", "100000,100,3",
+         "--method", "koopman,normal-mle"],
+        ["coverage", "--scenario", "small", "--realizations", "0", "--seed", "1"],
+        ["interval", "--retrieved", "200,100,50", "--unretrieved", "1000,100,3",
+         "--method", "betabin-half", "--seed", "3", "--draws", "2000"],
+        ["binom", "--method", "wilson", "--n", "5", "--points", "9"],
+        ["bias", "--truth", "50,20,100,10", "--design", "10,10"],
+        ["interval", "--retrieved", "2000,100,50", "--method", "koopman"],
+        ["scenario", "--scenario", "legal", "--count", "2", "--seed", "4"],
+        ["interval", "--retrieved", "2000,100,0", "--unretrieved", "100000,100,0",
+         "--method", "naive-binomial"],
+    )
+
+    @staticmethod
+    def outcomes(capsys, fresh):
+        from recallci import cli
+
+        results = []
+        for argv in TestSharedParser.CALLS:
+            if fresh:
+                cli._shared_parser.cache_clear()
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out = capsys.readouterr()
+            results.append((code, out.out, out.err))
+        return results
+
+    def test_successive_calls_match_fresh_parsers(self, capsys):
+        shared = self.outcomes(capsys, fresh=False)
+        fresh = self.outcomes(capsys, fresh=True)
+        assert shared == fresh
+        codes = [code for code, _, _ in shared]
+        assert ("exit", 2) in codes  # the usage error, followed by valid calls
+        assert codes[2] == 0 and codes[3] == 0

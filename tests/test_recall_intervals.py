@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betaln, gammaln
 
+from recallci import evaluation
 from recallci.core import RecallProblem, SegmentData, StratumCounts, UndefinedEstimateError
 from recallci.distributions import BetaBinomialParams, beta_binomial_pmf, chi_square_1df_quantile
 from recallci import intervals
@@ -16,15 +17,19 @@ from recallci.intervals import (
     BETA_BINOMIAL,
     BETA_JEFFREYS,
     CLOSED_FORMS,
+    EXACT_REMAINDER_MAX,
     METHODS,
     NORMAL_METHODS,
     CountBatch,
     MonteCarloConfig,
+    POSTERIORS,
     PriorSpec,
     RecallInterval,
     _koopman_statistic,
+    betabin_exact_bounds,
     compute_interval,
     equal_tail_quantiles,
+    exact_posterior_bounds,
     expected_information_gain,
     koopman_bounds,
     koopman_interval,
@@ -34,6 +39,7 @@ from recallci.intervals import (
     normal_interval,
     normal_interval_raw,
 )
+from recallci.scenarios import builtin_scenario
 from recallci.streams import RandomStream
 
 AUDIT_PROBLEM = RecallProblem.simple(2000, 100, 50, 100000, 100, 3)
@@ -513,3 +519,266 @@ def test_equal_tail_quantiles_match_sorted_nearest_rank(level, size):
     ranks = [min(max(math.ceil(q * size), 1), size) for q in (alpha / 2.0, 1.0 - alpha / 2.0)]
     expected = tuple(float(ordered[r - 1]) for r in ranks)
     assert equal_tail_quantiles(values, level) == expected
+
+
+# ---------------------------------------------------------------------------
+# Exact beta-binomial quantiles.
+# ---------------------------------------------------------------------------
+
+BETABIN_METHODS = ("betabin-uniform", "betabin-mcp", "betabin-half")
+
+
+def exhaustive_bounds(retrieved, unretrieved, prior, level):
+    """Equal-tail posterior quantiles of recall by enumerating every yield.
+
+    Segments are lists of (population, sample, relevant) strata.  The lower
+    bound is the smallest atom with mass at or below it >= alpha/2, the upper
+    the smallest with mass above it <= alpha/2; forcing rules applied.
+    Returns the bounds and whether some atom's tail mass lies within 1e-12
+    (relative) of alpha/2, where rounding rather than the posterior decides.
+    """
+
+    def segment(strata):
+        ys, ps = np.zeros(1, dtype=np.int64), np.ones(1)
+        for population, sample, r in strata:
+            rest = population - sample
+            if rest == 0:
+                ky, kp = np.array([r]), np.ones(1)
+            else:
+                spec = prior(StratumCounts(population, sample, r)) if callable(prior) else prior
+                params = BetaBinomialParams(rest, spec.alpha + r, spec.beta + sample - r)
+                ky = r + np.arange(rest + 1)
+                kp = np.array([beta_binomial_pmf(params, k) for k in range(rest + 1)])
+            ys = (ys[:, None] + ky[None, :]).ravel()
+            ps = (ps[:, None] * kp[None, :]).ravel()
+        return ys, ps
+
+    (y1, p1), (y0, p0) = segment(retrieved), segment(unretrieved)
+    r1, r0 = sum(s[2] for s in retrieved), sum(s[2] for s in unretrieved)
+    if r1 == 0 and r0 == 0:
+        return (0.0, 1.0), False
+    values, where = np.unique(y1[:, None] / (y1[:, None] + y0[None, :]), return_inverse=True)
+    masses = np.bincount(where.ravel(), weights=(p1[:, None] * p0[None, :]).ravel())
+    tail = (1.0 - level) / 2.0
+    below = np.cumsum(masses)
+    above = np.concatenate([np.cumsum(masses[::-1])[::-1][1:], [0.0]])
+    lower = 0.0 if r1 == 0 else float(values[np.argmax(below >= tail)])
+    upper = 1.0 if r0 == 0 else float(values[np.argmax(above <= tail)])
+    near = [below] * (r1 > 0) + [above] * (r0 > 0)
+    tie = any(np.any(np.abs(mass - tail) <= 1e-12 * tail) for mass in near)
+    return (lower, max(lower, upper)), tie
+
+
+def strata_batch(retrieved, unretrieved):
+    """The batch of one sample holding these (population, sample, relevant) strata."""
+    segments = (retrieved, unretrieved)
+    return CountBatch(
+        tuple(tuple((n, s) for n, s, _ in seg) for seg in segments),
+        tuple(tuple(np.array([r]) for _, _, r in seg) for seg in segments),
+    )
+
+
+def random_strata(gen, count, max_pop):
+    strata = []
+    for _ in range(count):
+        population = int(gen.integers(1, max_pop + 1))
+        sample = int(gen.integers(1, population + 1))
+        strata.append((population, sample, int(gen.integers(0, sample + 1))))
+    return strata
+
+
+class TestExactBetaBinomial:
+    LEVELS = (0.95, 0.9, 0.5, 0.999, 1.0 - 1e-12)
+
+    def test_equals_exhaustive_enumeration(self):
+        gen = np.random.default_rng(20130217)
+        checked = 0
+        for trial in range(360):
+            method = BETABIN_METHODS[trial % 3]
+            level = self.LEVELS[trial % len(self.LEVELS)]
+            retrieved = random_strata(gen, 1 + (trial % 7 == 0), 40)
+            unretrieved = random_strata(gen, 1 + (trial % 5 == 0), 40)
+            if trial % 11 == 0:  # census stratum
+                n, s, r = retrieved[0]
+                retrieved[0] = (n, n, min(r, n))
+            if trial % 13 == 0:  # all-relevant sample
+                n, s, _ = unretrieved[0]
+                unretrieved[0] = (n, s, s)
+            prior = POSTERIORS[method][1]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected, tie = exhaustive_bounds(retrieved, unretrieved, prior, level)
+                (lower,), (upper,) = betabin_exact_bounds(
+                    strata_batch(retrieved, unretrieved), level, prior
+                )
+            if tie:  # e.g. masses 1/3 * 3/4 summing to exactly alpha/2 = 1/4
+                continue
+            assert lower == pytest.approx(expected[0], abs=1e-12), (trial, retrieved, unretrieved)
+            assert upper == pytest.approx(expected[1], abs=1e-12), (trial, retrieved, unretrieved)
+            checked += 1
+        assert checked >= 300
+
+    @pytest.mark.parametrize("method", BETABIN_METHODS)
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            ((50, 10, 0), (80, 20, 5)),  # r1 = 0: lower forced to 0
+            ((50, 10, 4), (80, 20, 0)),  # r0 = 0: upper forced to 1
+            ((50, 10, 0), (80, 20, 0)),  # nothing relevant sampled: [0, 1]
+            ((50, 10, 10), (80, 20, 20)),  # all-relevant samples
+            ((35, 35, 14), (82, 82, 7)),  # census on both sides: a point
+            ((10**9, 10**9 - 30, 7), (10**9, 10**9 - 25, 3)),  # populations near 1e9
+        ],
+    )
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_degenerate_counts(self, method, counts, level):
+        retrieved, unretrieved = [counts[0]], [counts[1]]
+        prior = POSTERIORS[method][1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected, tie = exhaustive_bounds(retrieved, unretrieved, prior, level)
+            (lower,), (upper,) = betabin_exact_bounds(
+                strata_batch(retrieved, unretrieved), level, prior
+            )
+        assert not tie
+        assert (lower, upper) == pytest.approx(expected, abs=1e-12)
+        if counts[0][2] == 0:
+            assert lower == 0.0
+        if counts[1][2] == 0:
+            assert upper == 1.0
+
+    @pytest.mark.parametrize("method", BETABIN_METHODS)
+    def test_tail_truncation_does_not_move_bounds(self, method, monkeypatch):
+        # Supports of a few thousand yields, whose far tails the kernel drops.
+        gen = np.random.default_rng(4)
+        design = (6000, 150, 9000, 400)
+        pairs = design_pairs(design, gen)
+        batch = batch_of(design, pairs)
+        prior = POSTERIORS[method][1]
+        for level in (0.95, 1.0 - 1e-12):
+            truncated = betabin_exact_bounds(batch, level, prior)
+            monkeypatch.setattr(intervals, "_TAIL_SHARE", 0.0)
+            full = betabin_exact_bounds(batch, level, prior)
+            monkeypatch.undo()
+            assert np.array_equal(truncated[0], full[0]) and np.array_equal(truncated[1], full[1])
+
+    @pytest.mark.parametrize("method", BETABIN_METHODS)
+    @pytest.mark.parametrize(
+        "design",
+        [
+            (100, 10, 1000, 20),
+            (2000, 100, 15000, 100),
+            (900, 30, 12000, 800),
+            (10**9, 10**9 - 40, 10**9, 10**9 - 60),
+        ],
+    )
+    def test_batch_bounds_equal_each_pair_alone(self, method, design):
+        pairs = design_pairs(design, np.random.default_rng(sum(design) % 2**32))
+        n_ret, s_ret, n_unret, s_unret = design
+        config = mc_config(1, draws=1000)
+        for level in (0.95, 0.5):
+            lower, upper = exact_posterior_bounds(method, batch_of(design, pairs), level)
+            for k, (r1, r0) in enumerate(pairs):
+                alone = exact_posterior_bounds(method, batch_of(design, [(r1, r0)]), level)
+                assert (lower[k], upper[k]) == (alone[0][0], alone[1][0]), (r1, r0)
+                problem = RecallProblem.simple(n_ret, s_ret, r1, n_unret, s_unret, r0)
+                iv = compute_interval(method, problem, level, config)
+                assert (iv.lower, iv.upper) == (lower[k], upper[k]), (r1, r0)
+
+    def test_stratified_batch_equals_each_sample_alone(self):
+        strata = (((300, 50), (500, 40)), ((2000, 100), (3000, 100), (7, 7)))
+        gen = np.random.default_rng(9)
+        relevant = tuple(
+            tuple(gen.integers(0, sample + 1, 25) for _, sample in segment) for segment in strata
+        )
+        for method in BETABIN_METHODS:
+            lower, upper = exact_posterior_bounds(method, CountBatch(strata, relevant), 0.95)
+            for k in range(25):
+                alone = CountBatch(strata, tuple(tuple(r[k:k + 1] for r in seg) for seg in relevant))
+                assert (lower[k], upper[k]) == tuple(
+                    b[0] for b in exact_posterior_bounds(method, alone, 0.95)
+                )
+
+    def test_harness_bounds_equal_compute_interval(self, monkeypatch):
+        seen = []
+
+        def recording(method, batch, level):
+            bounds = exact_posterior_bounds(method, batch, level)
+            seen.append((method, batch, level, bounds))
+            return bounds
+
+        monkeypatch.setattr(evaluation, "exact_posterior_bounds", recording)
+        config = evaluation.EvalConfig(
+            master_seed=5, realizations=2, samples_per_realization=60, mc_draws=1000,
+            methods=("koopman", *BETABIN_METHODS),
+        )
+        evaluation.evaluate_coverage(builtin_scenario("small"), config)
+        assert [m for m, *_ in seen] == list(BETABIN_METHODS) * 2
+        mc = mc_config(1, draws=1000)
+        for method, batch, level, (lower, upper) in seen:
+            ((n_ret, s_ret),), ((n_unret, s_unret),) = batch.strata
+            (r1s,), (r0s,) = batch.relevant
+            for k, (r1, r0) in enumerate(zip(r1s.tolist(), r0s.tolist())):
+                problem = RecallProblem.simple(n_ret, s_ret, r1, n_unret, s_unret, r0)
+                iv = compute_interval(method, problem, level, mc)
+                assert (iv.lower, iv.upper) == (lower[k], upper[k]), (method, r1, r0)
+
+    def test_empty_batch(self):
+        for method in BETABIN_METHODS:
+            lower, upper = exact_posterior_bounds(
+                method, batch_of((100, 10, 1000, 20), np.empty((0, 2), int)), 0.95
+            )
+            assert lower.shape == upper.shape == (0,)
+
+    def test_beta_jeffreys_stays_monte_carlo(self):
+        assert exact_posterior_bounds("beta-jeffreys", batch_of((50, 10, 80, 20), [(3, 4)]), 0.95) is None
+
+    def test_exact_up_to_the_remainder_limit(self, monkeypatch):
+        def no_monte_carlo(*args, **kwargs):
+            raise AssertionError("Monte Carlo path ran")
+
+        problem = RecallProblem.simple(EXACT_REMAINDER_MAX + 150, 150, 40, 6000, 300, 9)
+        batch = CountBatch.of_problem(problem)
+        monkeypatch.setattr(intervals, "monte_carlo_interval", no_monte_carlo)
+        for method in BETABIN_METHODS:
+            iv = compute_interval(method, problem, 0.95, mc_config(11, draws=4000))
+            (lower,), (upper,) = exact_posterior_bounds(method, batch, 0.95)
+            assert (iv.lower, iv.upper) == (lower, upper)
+
+    def test_monte_carlo_above_the_remainder_limit(self):
+        # One past the limit the Monte Carlo path runs with the same draws as
+        # before exact quantiles existed; these are its bounds, bit for bit.
+        assert EXACT_REMAINDER_MAX == 20_000
+        problem = RecallProblem.simple(EXACT_REMAINDER_MAX + 1 + 150, 150, 40, 6000, 300, 9)
+        assert exact_posterior_bounds("betabin-half", CountBatch.of_problem(problem), 0.95) is None
+        before = {
+            "betabin-uniform": (0.9394130640580625, 0.9835966892400301),
+            "betabin-mcp": (0.9413118527042578, 0.9843368300043109),
+            "betabin-half": (0.9409321642824181, 0.9843352523764894),
+        }
+        for method, bounds in before.items():
+            iv = compute_interval(method, problem, 0.95, mc_config(11, draws=4000))
+            assert (iv.lower, iv.upper) == bounds
+            family, prior = POSTERIORS[method]
+            direct = monte_carlo_interval(
+                problem, 0.95, family, prior, mc_config(11, draws=4000), method
+            )
+            assert (direct.lower, direct.upper) == bounds
+
+    def test_nothing_sampled_relevant_resolves_no_prior(self):
+        # The most conservative prior rejects an empty stratum sample; a
+        # (0, 0) sample needs no posterior and gets [0, 1] as before.
+        problem = RecallProblem(
+            SegmentData((StratumCounts(100, 0, 0), StratumCounts(200, 20, 0)), "retrieved"),
+            SegmentData.simple("unretrieved", 1000, 50, 0),
+        )
+        iv = compute_interval("betabin-mcp", problem, 0.95, mc_config(2, draws=1000))
+        assert (iv.lower, iv.upper, iv.point) == (0.0, 1.0, None)
+
+    def test_level_and_config_errors(self):
+        problem = RecallProblem.simple(50, 10, 3, 80, 20, 4)
+        with pytest.raises(ValueError, match="MonteCarloConfig"):
+            compute_interval("betabin-half", problem, 0.95)
+        for level in (0.0, 1.0):
+            with pytest.raises(ValueError, match="strictly inside"):
+                compute_interval("betabin-half", problem, level, mc_config(1, draws=1000))
