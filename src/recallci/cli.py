@@ -227,10 +227,11 @@ def _cmd_interval(args) -> int:
         ]
         problem = parse_problem_rows(rows, source="<command line>")
     records = []
-    for m_idx, method in enumerate(methods):
+    for method in methods:
         if method in MONTE_CARLO_METHODS:
             config = MonteCarloConfig(
-                rng=RandomStream(args.seed, stream_id=m_idx), draws=args.draws
+                rng=RandomStream(args.seed, stream_id=METHODS.index(method)),
+                draws=args.draws,
             )
         else:
             config = None

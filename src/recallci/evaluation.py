@@ -31,11 +31,13 @@ from .intervals import (
     POSTERIORS,
     CountBatch,
     MonteCarloConfig,
+    _available_cpus,
+    _set_draw_threads,
     compute_interval,
+    draw_yields,
     equal_tail_quantiles,
     exact_posterior_bounds,
     normal_mid_half,
-    segment_yield_draws,
 )
 from .scenarios import ScenarioSpec, sample_realization
 from .streams import RandomStream
@@ -235,13 +237,15 @@ def _mc_pair_bounds(
     sample still receives a full ``draws``-sized paired recall sample.
     """
     family, prior = POSTERIORS[method]
-    rows: list[dict[int, np.ndarray]] = []
+    keys: list[tuple[int, int]] = []
+    jobs = []
     for segment_index, label in enumerate(("retrieved", "unretrieved")):
         ((population, sample),) = batch.strata[segment_index]
         (counts,) = batch.relevant[segment_index]
-        rows.append(
-            {
-                r: segment_yield_draws(
+        for r in sorted(set(counts.tolist())):
+            keys.append((segment_index, r))
+            jobs.append(
+                (
                     SegmentData.simple(label, population, sample, r),
                     family,
                     prior,
@@ -249,9 +253,10 @@ def _mc_pair_bounds(
                     stream.substream(segment_index, r),
                     segment_index,
                 )
-                for r in sorted(set(counts.tolist()))
-            }
-        )
+            )
+    rows: tuple[dict[int, np.ndarray], ...] = ({}, {})
+    for (segment_index, r), y in zip(keys, draw_yields(jobs)):
+        rows[segment_index][r] = y
 
     r1s, r0s = batch.totals()
     lower = np.empty(len(r1s))
@@ -300,7 +305,7 @@ def _evaluate_realization(
     true_rec = truth.recall
 
     out: dict[str, tuple[float, float, float, float, float]] = {}
-    for m_idx, method in enumerate(config.methods):
+    for method in config.methods:
         if method in POSTERIORS:
             bounds = exact_posterior_bounds(method, batch, config.level)
             if bounds is None:
@@ -309,7 +314,7 @@ def _evaluate_realization(
                     batch,
                     config.level,
                     config.mc_draws,
-                    base.substream(_NS_POSTERIOR, index, m_idx),
+                    base.substream(_NS_POSTERIOR, index, METHODS.index(method)),
                 )
             lower, upper = bounds
         else:
@@ -343,13 +348,19 @@ def evaluate_coverage(spec: ScenarioSpec, config: EvalConfig) -> CoverageReport:
     Samples with no relevant documents in either segment leave every method
     without a point estimate and are tallied as undefined (non-covering).
     The report is bit-identical across runs with the same master seed,
-    independent of the worker count.
+    independent of the worker count, the draw thread count and the order
+    of the methods.
     """
     indices = range(config.realizations)
     if config.workers == 1:
         rows = [_evaluate_realization(spec, config, i) for i in indices]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # Each child draws posteriors on its share of the CPUs.
+        with ProcessPoolExecutor(
+            max_workers=config.workers,
+            initializer=_set_draw_threads,
+            initargs=(max(1, _available_cpus() // config.workers),),
+        ) as pool:
             rows = list(
                 pool.map(
                     _realization_worker,

@@ -33,10 +33,13 @@ quantiles.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -72,6 +75,7 @@ __all__ = [
     "normal_interval",
     "normal_interval_raw",
     "koopman_interval",
+    "draw_yields",
     "monte_carlo_interval",
     "EXACT_REMAINDER_MAX",
     "betabin_exact_bounds",
@@ -557,6 +561,114 @@ def segment_yield_draws(
     return total
 
 
+# Posterior draws run on a per-process thread pool: NumPy releases the
+# interpreter lock while it fills arrays of variates.  Every job draws from
+# its own keyed stream and sums its strata in a fixed order, so its array is
+# the same on any thread and at any thread count.
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+_draw_threads = _available_cpus()
+"""Threads drawing posterior yields in this process."""
+
+_THREADED_DRAWS_MIN = 200_000
+"""Fewest variates (draws x strata over all jobs) that a batch draws on threads.
+
+Smaller batches run inline.  On a 2-vCPU x86 host, single-stratum audits at
+40,000 draws (80,000 variates a batch) drawn on two threads cost about 20%
+more CPU, also in the work between their batches, and had slower tails,
+while batches of 160,000 or more variates gained wall time.  Coverage
+studies of the built-in scenarios at 500 samples and 10,000 draws put
+230,000 to several million variates in each batch.
+"""
+
+_draw_pool: tuple[int, ThreadPoolExecutor] | None = None
+_draw_pool_lock = threading.Lock()
+
+
+def _set_draw_threads(threads: int) -> None:
+    """Fix this process's draw thread count; a process-pool initializer."""
+    global _draw_threads
+    _draw_threads = threads
+
+
+def _forget_draw_pool() -> None:
+    # A forked child has none of its parent's threads: it builds its own pool
+    # instead of queueing work for threads that do not exist.
+    global _draw_pool, _draw_pool_lock
+    _draw_pool = None
+    _draw_pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_draw_pool)
+
+
+def _pool_of(workers: int) -> ThreadPoolExecutor:
+    global _draw_pool
+    with _draw_pool_lock:
+        if _draw_pool is None or _draw_pool[0] < workers:
+            if _draw_pool is not None:
+                _draw_pool[1].shutdown(wait=False)
+            _draw_pool = (workers, ThreadPoolExecutor(workers, "recallci-draws"))
+        return _draw_pool[1]
+
+
+def _resolved(job: tuple) -> tuple:
+    """The job with its beta-binomial prior resolved for every stratum."""
+    segment, family, prior, *rest = job
+    if family == BETA_BINOMIAL and not isinstance(prior, PriorSpec):
+        specs = {
+            s: _resolve_prior(prior, s)
+            for s in segment.strata
+            if s.population_size > s.sample_size
+        }
+        prior = specs.__getitem__
+    return (segment, family, prior, *rest)
+
+
+def _draw_chunk(jobs: Sequence[tuple]) -> list[np.ndarray]:
+    return [segment_yield_draws(*job) for job in jobs]
+
+
+def draw_yields(jobs: Sequence[tuple]) -> list[np.ndarray]:
+    """``segment_yield_draws(*job)`` for every job, in job order.
+
+    A job is the tuple of ``segment_yield_draws`` arguments.  Priors are
+    resolved first, on the calling thread, so a prior's warnings, errors
+    and caches behave as in a sequential run.  The jobs are then dealt
+    round robin into one chunk per draw thread (all CPUs this process may
+    use, unless a process pool set fewer); the calling thread draws the
+    first chunk and the process's pool the others.  With one thread, or
+    fewer than ``_THREADED_DRAWS_MIN`` variates in all, the jobs run
+    inline.  Results do not depend on the thread count.
+    """
+    jobs = [_resolved(job) for job in jobs]
+    variates = sum(draws * len(segment.strata) for segment, _, _, draws, *_ in jobs)
+    threads = min(_draw_threads, len(jobs)) if variates >= _THREADED_DRAWS_MIN else 1
+    if threads <= 1:
+        return _draw_chunk(jobs)
+    chunks = [jobs[t::threads] for t in range(threads)]
+    pool = _pool_of(threads - 1)
+    futures = [pool.submit(_draw_chunk, chunk) for chunk in chunks[1:]]
+    try:
+        parts = [_draw_chunk(chunks[0])]
+    finally:
+        wait(futures)
+    parts += [future.result() for future in futures]
+    out: list[np.ndarray] = [None] * len(jobs)
+    for t, part in enumerate(parts):
+        out[t::threads] = part
+    return out
+
+
 def monte_carlo_interval(
     problem: RecallProblem,
     level: float,
@@ -585,8 +697,12 @@ def monte_carlo_interval(
         # Every recall draw would be 0/0; both forcing rules apply.
         return RecallInterval(0.0, 1.0, level, _point_or_none(problem), tag)
 
-    y1 = segment_yield_draws(problem.retrieved, family, prior, config.draws, config.rng, 0)
-    y0 = segment_yield_draws(problem.unretrieved, family, prior, config.draws, config.rng, 1)
+    y1, y0 = draw_yields(
+        [
+            (problem.retrieved, family, prior, config.draws, config.rng, 0),
+            (problem.unretrieved, family, prior, config.draws, config.rng, 1),
+        ]
+    )
     lower, upper = equal_tail_quantiles(y1 / (y1 + y0), level)
     if r1 == 0:
         lower = 0.0

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from recallci.cli import main
+from recallci.intervals import MONTE_CARLO_METHODS
 
 PROBLEM_CSV = """segment,stratum,population,sample,relevant
 retrieved,all,2000,100,50
@@ -279,6 +280,20 @@ class TestBinom:
         assert lines[1] == "pi,coverage"
         assert len(lines) == 2 + 199
         assert "mean coverage 0.95" in capsys.readouterr().out
+
+
+class TestMonteCarloSeeding:
+    def test_bounds_do_not_depend_on_method_position(self, capsys):
+        base = ["interval", "--retrieved", "200000,300,120", "--unretrieved",
+                "9000000,400,11", "--seed", "7", "--draws", "2000"]
+        assert main(base) == 0
+        nine = {r["method"]: r for r in json.loads(capsys.readouterr().out)}
+        for method in MONTE_CARLO_METHODS:
+            assert main(base + ["--method", method]) == 0
+            assert json.loads(capsys.readouterr().out) == [nine[method]]
+        assert main(base + ["--method", "koopman,betabin-half"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert records == [nine["koopman"], nine["betabin-half"]]
 
 
 class TestSharedParser:

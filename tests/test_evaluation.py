@@ -1,8 +1,13 @@
 """Coverage harness accounting, determinism, and design tools."""
 
+import multiprocessing
+import threading
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
+from recallci import evaluation, intervals
 from recallci.core import RealizationTruth
 from recallci.evaluation import (
     CoverageReport,
@@ -13,11 +18,12 @@ from recallci.evaluation import (
     evaluate_coverage,
     width_vs_sample_size,
 )
-from recallci.intervals import MonteCarloConfig
+from recallci.intervals import METHODS, MonteCarloConfig
 from recallci.scenarios import builtin_scenario
 from recallci.streams import RandomStream
 
 FAST_METHODS = ("naive-binomial", "normal-mle", "koopman", "betabin-half")
+FIELDS = ("coverage", "upper_gap", "lower_gap", "undefined", "mean_width")
 
 
 def small_eval(methods=FAST_METHODS, realizations=5, samples=40, seed=42, workers=1):
@@ -32,6 +38,29 @@ def small_eval(methods=FAST_METHODS, realizations=5, samples=40, seed=42, worker
             workers=workers,
         ),
     )
+
+
+def study(scenario, methods=METHODS, workers=1):
+    """A small study whose posterior methods all take Monte Carlo draws."""
+    return evaluate_coverage(
+        builtin_scenario(scenario),
+        EvalConfig(
+            master_seed=8,
+            realizations=2,
+            samples_per_realization=60,
+            methods=methods,
+            mc_draws=2000,
+            workers=workers,
+        ),
+    )
+
+
+def assert_same_reports(a, b, methods):
+    for field in FIELDS:
+        for m in methods:
+            assert np.array_equal(
+                getattr(a, field)[m], getattr(b, field)[m], equal_nan=True
+            ), (field, m)
 
 
 def synthetic_report(coverages: dict, level=0.95) -> CoverageReport:
@@ -141,17 +170,72 @@ class TestDeterminism:
     def test_bit_identical_across_worker_counts(self):
         a = small_eval(workers=1)
         b = small_eval(workers=3)
-        for field in ("coverage", "upper_gap", "lower_gap", "undefined", "mean_width"):
-            for m in a.methods:
-                assert np.array_equal(
-                    getattr(a, field)[m], getattr(b, field)[m], equal_nan=True
-                ), (field, m)
+        assert_same_reports(a, b, a.methods)
 
     def test_bit_identical_across_repeat_runs(self):
         a = small_eval()
         b = small_eval()
         for m in a.methods:
             assert np.array_equal(a.coverage[m], b.coverage[m])
+
+    def test_monte_carlo_methods_do_not_depend_on_position(self):
+        nine = study("legal")
+        for methods in (("betabin-half",), tuple(reversed(METHODS))):
+            assert_same_reports(study("legal", methods), nine, methods)
+
+
+class TestDrawThreads:
+    """Posterior draws give the same reports at any thread count."""
+
+    @pytest.fixture(autouse=True)
+    def thread_small_batches(self, monkeypatch):
+        monkeypatch.setattr(intervals, "_THREADED_DRAWS_MIN", 0)
+
+    def test_reports_equal_at_one_and_four_threads(self, monkeypatch):
+        draw = intervals.segment_yield_draws
+        threads_seen = {1: set(), 4: set()}
+        for scenario in ("legal", "neutral"):
+            reports = {}
+            for threads in (1, 4):
+                monkeypatch.setattr(intervals, "_draw_threads", threads)
+                seen = threads_seen[threads]
+
+                def recording(*args):
+                    seen.add(threading.current_thread())
+                    return draw(*args)
+
+                monkeypatch.setattr(intervals, "segment_yield_draws", recording)
+                reports[threads] = study(scenario)
+            assert_same_reports(reports[1], reports[4], METHODS)
+        assert threads_seen[1] == {threading.current_thread()}
+        assert len(threads_seen[4]) > 1
+
+    def test_workers_forked_after_the_pool_exists(self, monkeypatch):
+        # The parent draws on its pool, then forks two children with two
+        # draw threads each; a child that reused the parent's pool would wait
+        # forever on threads it does not have.
+        monkeypatch.setattr(intervals, "_draw_threads", 2)
+        monkeypatch.setattr(evaluation, "_available_cpus", lambda: 4)
+        sequential = study("legal")
+        assert intervals._draw_pool is not None
+        hung = threading.Event()
+
+        def kill_children():
+            hung.set()
+            for child in multiprocessing.active_children():
+                child.kill()
+
+        watchdog = threading.Timer(60, kill_children)
+        watchdog.start()
+        try:
+            pooled = study("legal", workers=2)
+        except BrokenProcessPool:
+            if hung.is_set():
+                pytest.fail("workers=2 did not finish within 60 s")
+            raise
+        finally:
+            watchdog.cancel()
+        assert_same_reports(sequential, pooled, METHODS)
 
 
 class TestConfigValidation:

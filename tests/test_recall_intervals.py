@@ -1,7 +1,10 @@
 """The nine recall interval methods."""
 
 import math
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -402,7 +405,7 @@ class TestForcingRules:
 
 @pytest.mark.parametrize("method", METHODS)
 def test_interval_bounds_always_ordered_in_unit_range(method):
-    gen = np.random.default_rng(hash(method) % 2**32)
+    gen = np.random.default_rng(METHODS.index(method))
     config = mc_config(15, draws=2000)
     for _ in range(25):
         prob = random_problem(gen, max_pop=400)
@@ -782,3 +785,101 @@ class TestExactBetaBinomial:
         for level in (0.0, 1.0):
             with pytest.raises(ValueError, match="strictly inside"):
                 compute_interval("betabin-half", problem, level, mc_config(1, draws=1000))
+
+
+class TestDrawThreads:
+    """Monte Carlo bounds are the same at any draw thread count."""
+
+    @staticmethod
+    def problems():
+        gen = np.random.default_rng(21)
+
+        def segment(label, strata):
+            counts = []
+            for _ in range(strata):
+                population = int(gen.integers(EXACT_REMAINDER_MAX + 100, 10**7))
+                sample = int(gen.integers(2, 400))
+                counts.append(StratumCounts(population, sample, int(gen.integers(0, sample + 1))))
+            return SegmentData(tuple(counts), label)
+
+        return [
+            RecallProblem(segment("retrieved", strata), segment("unretrieved", strata))
+            for strata in (1, 1, 1, 2, 2, 3)
+        ]
+
+    @pytest.fixture(autouse=True)
+    def thread_small_batches(self, monkeypatch):
+        monkeypatch.setattr(intervals, "_THREADED_DRAWS_MIN", 0)
+
+    def test_bounds_equal_at_one_and_four_threads(self, monkeypatch):
+        bounds = {}
+        for threads in (1, 4):
+            monkeypatch.setattr(intervals, "_draw_threads", threads)
+            bounds[threads] = [
+                compute_interval(method, problem, 0.95, mc_config(k, draws=2000))
+                for k, problem in enumerate(self.problems())
+                for method in POSTERIORS
+            ]
+        assert bounds[1] == bounds[4]
+
+    def test_small_batches_run_inline(self, monkeypatch):
+        monkeypatch.setattr(intervals, "_draw_threads", 4)
+        monkeypatch.setattr(intervals, "_THREADED_DRAWS_MIN", 2 * 40_000 + 1)
+        draw = intervals.segment_yield_draws
+        seen = set()
+
+        def recording(*args):
+            seen.add(threading.current_thread())
+            return draw(*args)
+
+        monkeypatch.setattr(intervals, "segment_yield_draws", recording)
+        problem = self.problems()[0]
+        compute_interval("betabin-half", problem, 0.95, mc_config(1, draws=40_000))
+        assert seen == {threading.current_thread()}
+        compute_interval("betabin-half", problem, 0.95, mc_config(1, draws=40_001))
+        assert len(seen) == 2
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        monkeypatch.setattr(intervals, "_draw_threads", 4)
+        problems = self.problems()
+
+        def bounds(k):
+            return [
+                compute_interval(method, problems[k], 0.95, mc_config(k, draws=2000))
+                for method in POSTERIORS
+            ]
+
+        expected = [bounds(k) for k in range(len(problems))] * 3
+        monkeypatch.setattr(intervals, "_draw_pool", None)  # the callers race to build it
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as callers:
+                got = list(callers.map(bounds, list(range(len(problems))) * 3, timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        assert got == expected
+
+    def test_prior_warnings_and_errors_stay_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(intervals, "_draw_threads", 4)
+        problem = RecallProblem(
+            SegmentData((StratumCounts(500_000, 1, 1), StratumCounts(300_000, 40, 12)), "retrieved"),
+            SegmentData.simple("unretrieved", 9_000_000, 200, 7),
+        )
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, category, *rest: seen.append(
+                (category, str(message), threading.current_thread())
+            )
+            compute_interval("betabin-mcp", problem, 0.95, mc_config(3, draws=2000))
+        assert [(c, t) for c, m, t in seen if "single-draw" in m] == [
+            (RuntimeWarning, threading.current_thread())
+        ]
+        # The most conservative prior rejects a stratum with no sample.
+        empty = RecallProblem(
+            SegmentData((StratumCounts(500_000, 0, 0), StratumCounts(300_000, 40, 12)), "retrieved"),
+            SegmentData.simple("unretrieved", 9_000_000, 200, 7),
+        )
+        with pytest.raises(ValueError, match="sample must lie"):
+            compute_interval("betabin-mcp", empty, 0.95, mc_config(3, draws=2000))
