@@ -35,7 +35,6 @@ from .core import (
 )
 from .distributions import (
     BetaBinomialParams,
-    BetaParams,
     HypergeomParams,
     beta_binomial_pmf,
     binomial_pmf,
@@ -43,8 +42,6 @@ from .distributions import (
     hypergeom_pmf,
     hypergeom_successor_ratio,
     normal_quantile,
-    sample_beta,
-    sample_beta_binomial,
     sample_hypergeom,
 )
 from .evaluation import (
@@ -58,16 +55,16 @@ from .evaluation import (
 )
 from .intervals import (
     METHODS,
+    CountBatch,
     MonteCarloConfig,
     PriorSpec,
     RecallInterval,
     compute_interval,
     expected_information_gain,
+    interval_bounds,
     koopman_interval,
     monte_carlo_interval,
     most_conservative_prior,
-    naive_binomial,
-    normal_interval,
 )
 from .io import interval_record, load_problem_csv
 from .scenarios import (

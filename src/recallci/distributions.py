@@ -16,7 +16,6 @@ from .streams import RandomStream
 
 __all__ = [
     "HypergeomParams",
-    "BetaParams",
     "BetaBinomialParams",
     "hypergeom_pmf",
     "hypergeom_support_pmf",
@@ -26,8 +25,6 @@ __all__ = [
     "chi_square_1df_quantile",
     "beta_binomial_pmf",
     "sample_hypergeom",
-    "sample_beta",
-    "sample_beta_binomial",
 ]
 
 
@@ -52,16 +49,6 @@ class HypergeomParams:
         lo = max(0, self.sample_size - (self.population_size - self.successes))
         hi = min(self.sample_size, self.successes)
         return range(lo, hi + 1)
-
-
-@dataclass(frozen=True)
-class BetaParams:
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("beta distribution requires alpha > 0 and beta > 0")
 
 
 @dataclass(frozen=True)
@@ -164,12 +151,6 @@ def beta_binomial_pmf(params: BetaBinomialParams, s: int) -> float:
     return float(np.exp(logp))
 
 
-def _as_generator(rng: RandomStream | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, RandomStream):
-        return rng.generator()
-    return rng
-
-
 def sample_hypergeom(
     params: HypergeomParams,
     rng: RandomStream | np.random.Generator,
@@ -185,31 +166,6 @@ def sample_hypergeom(
         return 0 if size is None else np.zeros(size, dtype=np.int64)
     if R == N:
         return n if size is None else np.full(size, n, dtype=np.int64)
-    gen = _as_generator(rng)
+    gen = rng.generator() if isinstance(rng, RandomStream) else rng
     draw = gen.hypergeometric(R, N - R, n, size=size)
-    return int(draw) if size is None else draw
-
-
-def sample_beta(
-    params: BetaParams,
-    rng: RandomStream | np.random.Generator,
-    size: int | None = None,
-):
-    """Draw from a beta distribution."""
-    gen = _as_generator(rng)
-    draw = gen.beta(params.alpha, params.beta, size=size)
-    return float(draw) if size is None else draw
-
-
-def sample_beta_binomial(
-    params: BetaBinomialParams,
-    rng: RandomStream | np.random.Generator,
-    size: int | None = None,
-):
-    """Draw from a beta-binomial as a beta draw compounded with a binomial."""
-    gen = _as_generator(rng)
-    if params.trials == 0:
-        return 0 if size is None else np.zeros(size, dtype=np.int64)
-    q = gen.beta(params.alpha, params.beta, size=size)
-    draw = gen.binomial(params.trials, q)
     return int(draw) if size is None else draw

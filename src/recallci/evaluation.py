@@ -15,28 +15,22 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import RealizationTruth, RecallProblem, SampleDesign, SegmentData
+from .core import RealizationTruth, SampleDesign
 from .distributions import HypergeomParams, sample_hypergeom
 from .intervals import (
-    CLOSED_FORMS,
     METHODS,
-    NORMAL_METHODS,
-    POSTERIORS,
+    NORMAL_ADJUSTMENTS,
     CountBatch,
     MonteCarloConfig,
     _available_cpus,
     _set_draw_threads,
-    compute_interval,
-    draw_yields,
-    equal_tail_quantiles,
-    exact_posterior_bounds,
+    interval_bounds,
     normal_mid_half,
 )
 from .scenarios import ScenarioSpec, sample_realization
@@ -78,6 +72,8 @@ class EvalConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown interval methods: {unknown}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"duplicate interval methods: {list(self.methods)}")
         if self.mc_draws < 1000:
             raise ValueError("mc_draws must be at least 1000")
         if self.workers < 1:
@@ -214,59 +210,36 @@ def closest_coverage_shares(report: CoverageReport) -> dict[str, float]:
     return {m: float(s) for m, s in zip(report.methods, shares)}
 
 
-def _single_stratum_problem(
-    truth: RealizationTruth, design: SampleDesign, r1: int, r0: int
-) -> RecallProblem:
-    return RecallProblem.simple(
+def _sample_counts(
+    truth: RealizationTruth, design: SampleDesign, samples: int, stream: RandomStream
+) -> np.ndarray:
+    """Relevant counts (r1, r0) of ``samples`` simulated samples from one world.
+
+    Sample j draws both segments' hypergeometric counts from the generator of
+    ``stream.substream(j)``; the result has one row per sample.
+    """
+    hg_ret = HypergeomParams(
+        truth.retrieved_size, truth.retrieved_yield, design.retrieved_sample
+    )
+    hg_unret = HypergeomParams(
+        truth.unretrieved_size, truth.unretrieved_yield, design.unretrieved_sample
+    )
+    counts = np.empty((samples, 2), dtype=np.int64)
+    for j in range(samples):
+        gen = stream.substream(j).generator()
+        counts[j] = sample_hypergeom(hg_ret, gen), sample_hypergeom(hg_unret, gen)
+    return counts
+
+
+def _count_batch(truth: RealizationTruth, design: SampleDesign, pairs: np.ndarray) -> CountBatch:
+    return CountBatch.simple(
         truth.retrieved_size,
         design.retrieved_sample,
-        r1,
+        pairs[:, 0],
         truth.unretrieved_size,
         design.unretrieved_sample,
-        r0,
+        pairs[:, 1],
     )
-
-
-def _mc_pair_bounds(
-    method: str, batch: CountBatch, level: float, draws: int, stream: RandomStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo interval bounds for every sample of a single-stratum batch.
-
-    Posterior yield draws depend on one segment's observed count only, so
-    they are drawn once per unique count and shared across samples; each
-    sample still receives a full ``draws``-sized paired recall sample.
-    """
-    family, prior = POSTERIORS[method]
-    keys: list[tuple[int, int]] = []
-    jobs = []
-    for segment_index, label in enumerate(("retrieved", "unretrieved")):
-        ((population, sample),) = batch.strata[segment_index]
-        (counts,) = batch.relevant[segment_index]
-        for r in sorted(set(counts.tolist())):
-            keys.append((segment_index, r))
-            jobs.append(
-                (
-                    SegmentData.simple(label, population, sample, r),
-                    family,
-                    prior,
-                    draws,
-                    stream.substream(segment_index, r),
-                    segment_index,
-                )
-            )
-    rows: tuple[dict[int, np.ndarray], ...] = ({}, {})
-    for (segment_index, r), y in zip(keys, draw_yields(jobs)):
-        rows[segment_index][r] = y
-
-    r1s, r0s = batch.totals()
-    lower = np.empty(len(r1s))
-    upper = np.empty(len(r1s))
-    for k, (r1, r0) in enumerate(zip(r1s.tolist(), r0s.tolist())):
-        y1 = rows[0][r1]
-        lower[k], upper[k] = equal_tail_quantiles(y1 / (y1 + rows[1][r0]), level)
-    lower[r1s == 0] = 0.0
-    upper[r0s == 0] = 1.0
-    return lower, np.maximum(lower, upper)
 
 
 def _evaluate_realization(
@@ -274,51 +247,25 @@ def _evaluate_realization(
 ) -> dict[str, tuple[float, float, float, float, float]]:
     base = RandomStream(config.master_seed)
     truth, design = sample_realization(spec, base.substream(_NS_REALIZATION, index))
-    hg_ret = HypergeomParams(
-        truth.retrieved_size, truth.retrieved_yield, design.retrieved_sample
+    counts = _sample_counts(
+        truth, design, config.samples_per_realization, base.substream(_NS_SAMPLE, index)
     )
-    hg_unret = HypergeomParams(
-        truth.unretrieved_size, truth.unretrieved_yield, design.unretrieved_sample
-    )
-
-    counts: Counter[tuple[int, int]] = Counter()
-    for j in range(config.samples_per_realization):
-        gen = base.substream(_NS_SAMPLE, index, j).generator()
-        r1 = sample_hypergeom(hg_ret, gen)
-        r0 = sample_hypergeom(hg_unret, gen)
-        counts[(r1, r0)] += 1
-
+    # Every method sees each distinct (r1, r0) pair once, in sorted order.
+    pairs, weights = np.unique(counts, axis=0, return_counts=True)
+    defined_pairs = pairs.any(axis=1)
     total = config.samples_per_realization
-    undefined_count = counts.pop((0, 0), 0)
+    undefined_count = int(weights[~defined_pairs].sum())
     defined = total - undefined_count
-    pairs = sorted(counts)
-    weights = np.array([counts[pair] for pair in pairs], dtype=np.int64)
-    r1s, r0s = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    batch = CountBatch.simple(
-        truth.retrieved_size,
-        design.retrieved_sample,
-        r1s,
-        truth.unretrieved_size,
-        design.unretrieved_sample,
-        r0s,
-    )
+    weights = weights[defined_pairs]
+    batch = _count_batch(truth, design, pairs[defined_pairs])
     true_rec = truth.recall
 
     out: dict[str, tuple[float, float, float, float, float]] = {}
     for method in config.methods:
-        if method in POSTERIORS:
-            bounds = exact_posterior_bounds(method, batch, config.level)
-            if bounds is None:
-                bounds = _mc_pair_bounds(
-                    method,
-                    batch,
-                    config.level,
-                    config.mc_draws,
-                    base.substream(_NS_POSTERIOR, index, METHODS.index(method)),
-                )
-            lower, upper = bounds
-        else:
-            lower, upper = CLOSED_FORMS[method](batch, config.level)
+        mc = MonteCarloConfig(
+            base.substream(_NS_POSTERIOR, index, METHODS.index(method)), config.mc_draws
+        )
+        lower, upper = interval_bounds(method, batch, config.level, mc)
         above_mask = true_rec > upper
         above = int(weights[above_mask].sum())
         below = int(weights[~above_mask & (true_rec < lower)].sum())
@@ -406,24 +353,6 @@ class WidthRow:
     min_width: float
 
 
-def _interval_width(
-    method: str, problem: RecallProblem, level: float, config: MonteCarloConfig
-) -> float:
-    """Width of one interval; normal-family widths are reported unclipped.
-
-    Unclipped normal widths keep the methods' characteristic behavior
-    visible in design studies (widths above 1 for tiny low-prevalence
-    samples, 1/sqrt(n) decay for large ones).
-    """
-    if method in NORMAL_METHODS:
-        _, (half,) = normal_mid_half(
-            CountBatch.of_problem(problem), level, NORMAL_METHODS.index(method)
-        )
-        # No estimate exists without relevant documents: the forced [0, 1].
-        return 1.0 if math.isnan(half) else 2.0 * half
-    return compute_interval(method, problem, level, config).width
-
-
 def _mean_width(
     truth: RealizationTruth,
     design: SampleDesign,
@@ -433,29 +362,28 @@ def _mean_width(
     samples: int,
     stream: RandomStream,
 ) -> float:
-    hg_ret = HypergeomParams(
-        truth.retrieved_size, truth.retrieved_yield, design.retrieved_sample
+    """Mean interval width over simulated samples; normal widths unclipped.
+
+    Unclipped normal widths keep the methods' characteristic behavior
+    visible in design studies (widths above 1 for tiny low-prevalence
+    samples, 1/sqrt(n) decay for large ones).  Posterior draws are keyed
+    below ``stream`` by segment and counts, apart from the per-sample count
+    streams ``stream.substream(j)``.
+    """
+    pairs, inverse = np.unique(
+        _sample_counts(truth, design, samples, stream), axis=0, return_inverse=True
     )
-    hg_unret = HypergeomParams(
-        truth.unretrieved_size, truth.unretrieved_yield, design.unretrieved_sample
-    )
-    cache: dict[tuple[int, int], float] = {}
-    widths = np.empty(samples)
-    for j in range(samples):
-        gen = stream.substream(j).generator()
-        r1 = sample_hypergeom(hg_ret, gen)
-        r0 = sample_hypergeom(hg_unret, gen)
-        key = (r1, r0)
-        if key not in cache:
-            problem = _single_stratum_problem(truth, design, r1, r0)
-            cache[key] = _interval_width(
-                method,
-                problem,
-                level,
-                MonteCarloConfig(rng=stream.substream(j, 1), draws=config.draws),
-            )
-        widths[j] = cache[key]
-    return float(np.mean(widths))
+    batch = _count_batch(truth, design, pairs)
+    if method in NORMAL_ADJUSTMENTS:
+        _, half = normal_mid_half(batch, level, NORMAL_ADJUSTMENTS[method])
+        # No estimate exists without relevant documents: the forced [0, 1].
+        widths = np.where(np.isnan(half), 1.0, 2.0 * half)
+    else:
+        lower, upper = interval_bounds(
+            method, batch, level, MonteCarloConfig(stream, config.draws)
+        )
+        widths = upper - lower
+    return float(np.mean(widths[inverse.reshape(-1)]))
 
 
 def design_width_curve(

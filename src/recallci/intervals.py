@@ -23,11 +23,22 @@ All methods force the lower bound to 0 when the retrieved sample holds no
 relevant documents, and the upper bound to 1 when the unretrieved sample
 holds none, where those rules apply.
 
+A sample with no relevant document in either segment (a (0, 0) sample) has
+no recall estimate.  ``naive-binomial``, whose denominator is the number of
+sampled relevant documents, raises ``UndefinedEstimateError`` for it; the
+other eight methods return [0, 1] with no point estimate, without drawing
+and without resolving a prior.
+
 The beta-binomial bounds are exact whenever every stratum remainder
 (population - sample) is at most ``EXACT_REMAINDER_MAX``: the posterior of
 recall is then enumerated, and the Monte Carlo draw count and seed have no
 effect.  Larger remainders, and ``beta-jeffreys`` always, take Monte Carlo
 quantiles.
+
+Every method is one entry of ``METHOD_TABLE``, a batch kernel over the
+relevant counts of many samples (``CountBatch``).  ``interval_bounds`` runs
+it on a batch; ``compute_interval`` runs it on the batch of one problem, and
+the coverage harness and the design tools on their simulated samples.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -59,10 +70,10 @@ from .streams import RandomStream
 
 __all__ = [
     "METHODS",
-    "NORMAL_METHODS",
-    "CLOSED_FORMS",
-    "POSTERIORS",
+    "METHOD_TABLE",
+    "MethodSpec",
     "MONTE_CARLO_METHODS",
+    "NORMAL_ADJUSTMENTS",
     "PriorSpec",
     "MonteCarloConfig",
     "RecallInterval",
@@ -71,32 +82,20 @@ __all__ = [
     "normal_mid_half",
     "normal_bounds",
     "koopman_bounds",
-    "naive_binomial",
-    "normal_interval",
-    "normal_interval_raw",
     "koopman_interval",
+    "segment_yield_draws",
     "draw_yields",
+    "monte_carlo_bounds",
     "monte_carlo_interval",
     "EXACT_REMAINDER_MAX",
     "betabin_exact_bounds",
-    "exact_posterior_bounds",
+    "posterior_bounds",
     "most_conservative_prior",
     "expected_information_gain",
+    "interval_bounds",
     "compute_interval",
     "equal_tail_quantiles",
 ]
-
-METHODS = (
-    "naive-binomial",
-    "normal-mle",
-    "normal-laplace",
-    "normal-agresti",
-    "koopman",
-    "beta-jeffreys",
-    "betabin-uniform",
-    "betabin-mcp",
-    "betabin-half",
-)
 
 BETA_JEFFREYS = "beta-jeffreys"
 BETA_BINOMIAL = "beta-binomial"
@@ -273,10 +272,6 @@ def naive_binomial_bounds(batch: CountBatch, level: float) -> tuple[np.ndarray, 
     return np.maximum(point - half, 0.0), np.minimum(point + half, 1.0)
 
 
-NORMAL_METHODS = ("normal-mle", "normal-laplace", "normal-agresti")
-"""Normal-approximation methods, indexed by their count adjustment."""
-
-
 def normal_mid_half(
     batch: CountBatch, level: float, adjustment: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -287,7 +282,7 @@ def normal_mid_half(
     recomputed from the adjusted counts.  Without adjustment both are NaN for
     samples without relevant documents, where no estimate exists.
     """
-    if adjustment not in range(len(NORMAL_METHODS)):
+    if adjustment not in (0, 1, 2):
         raise ValueError("adjustment must be 0, 1, or 2")
     z = _z_value(level)
     (y1, v1), (y0, v0) = _segment_yields(batch, adjustment)
@@ -454,40 +449,9 @@ def koopman_bounds(batch: CountBatch, level: float) -> tuple[np.ndarray, np.ndar
     return lower, np.minimum(np.maximum(upper, lower), 1.0)
 
 
-def _closed_form_interval(method: str, problem: RecallProblem, level: float) -> RecallInterval:
-    lower, upper = CLOSED_FORMS[method](CountBatch.of_problem(problem), level)
-    return RecallInterval(
-        float(lower[0]), float(upper[0]), level, _point_or_none(problem), method
-    )
-
-
-def naive_binomial(problem: RecallProblem, level: float) -> RecallInterval:
-    """The naive binomial interval of one problem; see ``naive_binomial_bounds``."""
-    return _closed_form_interval("naive-binomial", problem, level)
-
-
-def normal_interval_raw(
-    problem: RecallProblem, level: float, adjustment: int = 0
-) -> tuple[float, float]:
-    """(midpoint, halfwidth) of one problem's normal interval; see ``normal_mid_half``."""
-    mid, half = normal_mid_half(CountBatch.of_problem(problem), level, adjustment)
-    if math.isnan(mid[0]):
-        estimate_recall(problem)  # raises: no estimate exists
-    return float(mid[0]), float(half[0])
-
-
-def normal_interval(
-    problem: RecallProblem, level: float, adjustment: int = 0
-) -> RecallInterval:
-    """The normal interval of one problem; see ``normal_bounds``."""
-    if adjustment not in range(len(NORMAL_METHODS)):
-        raise ValueError("adjustment must be 0, 1, or 2")
-    return _closed_form_interval(NORMAL_METHODS[adjustment], problem, level)
-
-
 def koopman_interval(problem: RecallProblem, level: float) -> RecallInterval:
     """The Koopman interval of one problem; see ``koopman_bounds``."""
-    return _closed_form_interval("koopman", problem, level)
+    return compute_interval("koopman", problem, level)
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +633,56 @@ def draw_yields(jobs: Sequence[tuple]) -> list[np.ndarray]:
     return out
 
 
+def monte_carlo_bounds(
+    batch: CountBatch,
+    level: float,
+    family: str,
+    prior: PriorLike = None,
+    config: MonteCarloConfig | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo quantiles of the posterior on recall, for every sample.
+
+    Per draw, every stratum independently contributes a posterior yield
+    draw; segment yields are summed and a recall value computed.  A
+    segment's yield draws depend on its own stratum counts only, so they
+    are drawn once per (segment, distinct stratum-count vector), from the
+    stream ``config.rng.substream(segment, *counts)``, and shared by every
+    sample that holds those counts.  Each sample's bounds are the
+    equal-tail nearest-rank quantiles (see ``equal_tail_quantiles``) of its
+    own ``draws`` paired recall values.  The lower bound is forced to 0 when
+    no relevant documents were sampled from the retrieved segment, the upper
+    to 1 when none were sampled from the unretrieved segment; a (0, 0)
+    sample gets [0, 1] without draws and without resolving a prior.
+    """
+    if config is None:
+        raise ValueError("monte carlo interval estimation requires a MonteCarloConfig")
+    if not 0.0 < level < 1.0:
+        raise ValueError("confidence level must lie strictly inside (0, 1)")
+    r1s, r0s = batch.totals()
+    lower, upper = np.zeros(len(r1s)), np.ones(len(r1s))
+    sub = np.flatnonzero((r1s > 0) | (r0s > 0))
+    jobs, rows = [], []
+    for segment_index, label in enumerate((RETRIEVED, UNRETRIEVED)):
+        strata = batch.strata[segment_index]
+        vectors = list(zip(*(r[sub].tolist() for r in batch.relevant[segment_index])))
+        job_of = {}
+        for vector in sorted(set(vectors)):
+            job_of[vector] = len(jobs)
+            segment = SegmentData(
+                tuple(StratumCounts(n, s, r) for (n, s), r in zip(strata, vector)), label
+            )
+            stream = config.rng.substream(segment_index, *vector)
+            jobs.append((segment, family, prior, config.draws, stream, segment_index))
+        rows.append([job_of[vector] for vector in vectors])
+    yields = draw_yields(jobs)
+    for k, i1, i0 in zip(sub.tolist(), *rows):
+        y1 = yields[i1]
+        lower[k], upper[k] = equal_tail_quantiles(y1 / (y1 + yields[i0]), level)
+    lower[r1s == 0] = 0.0
+    upper[r0s == 0] = 1.0
+    return lower, np.maximum(lower, upper)
+
+
 def monte_carlo_interval(
     problem: RecallProblem,
     level: float,
@@ -677,38 +691,13 @@ def monte_carlo_interval(
     config: MonteCarloConfig | None = None,
     method_tag: str | None = None,
 ) -> RecallInterval:
-    """Recall interval from Monte Carlo quantiles of the posterior on recall.
-
-    Per draw, every stratum independently contributes a posterior yield
-    draw; segment yields are summed and a recall value computed.  The
-    interval is the pair of equal-tail empirical quantiles (nearest rank,
-    see ``equal_tail_quantiles``).  The lower bound is forced to 0 when no relevant
-    documents were sampled from the retrieved segment, the upper to 1 when
-    none were sampled from the unretrieved segment.
-    """
-    if config is None:
-        raise ValueError("monte carlo interval estimation requires a MonteCarloConfig")
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie strictly inside (0, 1)")
-    tag = method_tag or family
-    r1 = problem.retrieved.total_relevant_sampled
-    r0 = problem.unretrieved.total_relevant_sampled
-    if r1 == 0 and r0 == 0:
-        # Every recall draw would be 0/0; both forcing rules apply.
-        return RecallInterval(0.0, 1.0, level, _point_or_none(problem), tag)
-
-    y1, y0 = draw_yields(
-        [
-            (problem.retrieved, family, prior, config.draws, config.rng, 0),
-            (problem.unretrieved, family, prior, config.draws, config.rng, 1),
-        ]
+    """The Monte Carlo interval of one problem; see ``monte_carlo_bounds``."""
+    (lower,), (upper,) = monte_carlo_bounds(
+        CountBatch.of_problem(problem), level, family, prior, config
     )
-    lower, upper = equal_tail_quantiles(y1 / (y1 + y0), level)
-    if r1 == 0:
-        lower = 0.0
-    if r0 == 0:
-        upper = 1.0
-    return RecallInterval(lower, max(lower, upper), level, _point_or_none(problem), tag)
+    return RecallInterval(
+        float(lower), float(upper), level, _point_or_none(problem), method_tag or family
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1055,7 @@ def betabin_exact_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact equal-tail beta-binomial bounds on recall for every sample.
 
-    Forcing rules as for ``monte_carlo_interval``: the lower bound is 0 when
+    Forcing rules as for ``monte_carlo_bounds``: the lower bound is 0 when
     the retrieved sample holds no relevant document, the upper bound 1 when
     the unretrieved sample holds none, so a (0, 0) sample gets [0, 1].
     """
@@ -1195,41 +1184,83 @@ def _mcp_prior(stratum: StratumCounts) -> PriorSpec:
     return most_conservative_prior(stratum.population_size, stratum.sample_size)
 
 
-CLOSED_FORMS = {
-    "naive-binomial": naive_binomial_bounds,
-    **{tag: partial(normal_bounds, adjustment=c) for c, tag in enumerate(NORMAL_METHODS)},
-    "koopman": koopman_bounds,
-}
-"""Batch kernel of each closed-form method: (CountBatch, level) -> (lower, upper)."""
+def posterior_bounds(
+    batch: CountBatch,
+    level: float,
+    family: str,
+    prior: PriorLike,
+    config: MonteCarloConfig | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior quantile bounds on recall for every sample of a batch.
 
-POSTERIORS = {
-    "beta-jeffreys": (BETA_JEFFREYS, None),
-    "betabin-uniform": (BETA_BINOMIAL, PriorSpec(1.0, 1.0)),
-    "betabin-mcp": (BETA_BINOMIAL, _mcp_prior),
-    "betabin-half": (BETA_BINOMIAL, PriorSpec(0.5, 0.5)),
-}
-"""Posterior family and prior of each Monte Carlo method."""
-
-MONTE_CARLO_METHODS = frozenset(POSTERIORS)
-
-
-def exact_posterior_bounds(
-    method: str, batch: CountBatch, level: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Exact bounds of a beta-binomial method, or None where Monte Carlo runs.
-
-    The bounds are exact when every stratum remainder of the batch's design
-    is at most ``EXACT_REMAINDER_MAX``.  ``beta-jeffreys``, whose posterior
-    is continuous, always runs Monte Carlo.
+    Beta-binomial bounds are exact (``betabin_exact_bounds``) when every
+    stratum remainder of the batch's design is at most
+    ``EXACT_REMAINDER_MAX``; otherwise, and for ``beta-jeffreys``, whose
+    posterior is continuous, they are Monte Carlo quantiles
+    (``monte_carlo_bounds``).  A config is required either way, so whether a
+    call needs a seed does not depend on the counts.
     """
-    family, prior = POSTERIORS[method]
-    if family != BETA_BINOMIAL or any(
-        population - sample > EXACT_REMAINDER_MAX
+    if config is None:
+        raise ValueError("monte carlo interval estimation requires a MonteCarloConfig")
+    if family == BETA_BINOMIAL and all(
+        population - sample <= EXACT_REMAINDER_MAX
         for strata in batch.strata
         for population, sample in strata
     ):
-        return None
-    return betabin_exact_bounds(batch, level, prior)
+        return betabin_exact_bounds(batch, level, prior)
+    return monte_carlo_bounds(batch, level, family, prior, config)
+
+
+class MethodSpec(NamedTuple):
+    """An interval method: ``kernel(batch, level, *params)`` gives its bounds.
+
+    Posterior methods have ``posterior_bounds`` as kernel, (family, prior) as
+    params, and take a ``MonteCarloConfig`` after them.
+    """
+
+    kernel: Callable[..., tuple[np.ndarray, np.ndarray]]
+    params: tuple = ()
+
+
+METHOD_TABLE = {
+    "naive-binomial": MethodSpec(naive_binomial_bounds),
+    "normal-mle": MethodSpec(normal_bounds, (0,)),
+    "normal-laplace": MethodSpec(normal_bounds, (1,)),
+    "normal-agresti": MethodSpec(normal_bounds, (2,)),
+    "koopman": MethodSpec(koopman_bounds),
+    "beta-jeffreys": MethodSpec(posterior_bounds, (BETA_JEFFREYS, None)),
+    "betabin-uniform": MethodSpec(posterior_bounds, (BETA_BINOMIAL, PriorSpec(1.0, 1.0))),
+    "betabin-mcp": MethodSpec(posterior_bounds, (BETA_BINOMIAL, _mcp_prior)),
+    "betabin-half": MethodSpec(posterior_bounds, (BETA_BINOMIAL, PriorSpec(0.5, 0.5))),
+}
+"""The nine methods, in their output order."""
+
+METHODS = tuple(METHOD_TABLE)
+
+MONTE_CARLO_METHODS = frozenset(
+    tag for tag, spec in METHOD_TABLE.items() if spec.kernel is posterior_bounds
+)
+"""Methods that need a ``MonteCarloConfig``."""
+
+NORMAL_ADJUSTMENTS = {
+    tag: spec.params[0] for tag, spec in METHOD_TABLE.items() if spec.kernel is normal_bounds
+}
+"""Count adjustment of each normal-approximation method."""
+
+
+def interval_bounds(
+    method: str,
+    batch: CountBatch,
+    level: float,
+    config: MonteCarloConfig | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of any of the nine methods for every sample."""
+    if method not in METHOD_TABLE:
+        raise ValueError(f"unknown interval method: {method!r}")
+    kernel, params = METHOD_TABLE[method]
+    if method in MONTE_CARLO_METHODS:
+        return kernel(batch, level, *params, config)
+    return kernel(batch, level, *params)
 
 
 def compute_interval(
@@ -1238,18 +1269,6 @@ def compute_interval(
     level: float,
     config: MonteCarloConfig | None = None,
 ) -> RecallInterval:
-    """Dispatch to any of the nine interval methods by tag."""
-    if method in CLOSED_FORMS:
-        return _closed_form_interval(method, problem, level)
-    if method in POSTERIORS:
-        if config is None:
-            raise ValueError("monte carlo interval estimation requires a MonteCarloConfig")
-        exact = exact_posterior_bounds(method, CountBatch.of_problem(problem), level)
-        if exact is None:
-            family, prior = POSTERIORS[method]
-            return monte_carlo_interval(problem, level, family, prior, config, method)
-        (lower,), (upper,) = exact
-        return RecallInterval(
-            float(lower), float(upper), level, _point_or_none(problem), method
-        )
-    raise ValueError(f"unknown interval method: {method!r}")
+    """Any of the nine interval methods on one problem, by tag."""
+    (lower,), (upper,) = interval_bounds(method, CountBatch.of_problem(problem), level, config)
+    return RecallInterval(float(lower), float(upper), level, _point_or_none(problem), method)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from recallci.distributions import (
     BetaBinomialParams,
-    BetaParams,
     HypergeomParams,
     beta_binomial_pmf,
     binomial_pmf,
@@ -19,10 +18,10 @@ from recallci.distributions import (
     hypergeom_successor_ratio,
     hypergeom_support_pmf,
     normal_quantile,
-    sample_beta,
-    sample_beta_binomial,
     sample_hypergeom,
 )
+from recallci.core import SegmentData
+from recallci.intervals import BETA_BINOMIAL, BETA_JEFFREYS, PriorSpec, segment_yield_draws
 from recallci.streams import RandomStream
 
 
@@ -222,30 +221,29 @@ class TestSamplers:
             freq = np.mean(draws == k)
             assert freq == pytest.approx(hypergeom_pmf(params, k), abs=0.005)
 
-    def test_beta_uniform_case(self):
-        from scipy.stats import kstest
+    # Posterior yields come from one sampler, ``segment_yield_draws``: the
+    # observed count plus a draw over the unsampled remainder.
 
-        draws = sample_beta(BetaParams(1.0, 1.0), RandomStream(21), size=100_000)
-        assert kstest(draws, "uniform").pvalue > 0.01
+    def test_posterior_yield_beta_mean(self):
+        # Jeffreys: r + remainder * Beta(0.5 + r, 0.5 + n - r); here Beta(10.5, 0.5).
+        seg = SegmentData.simple("retrieved", 1010, 10, 10)
+        draws = segment_yield_draws(seg, BETA_JEFFREYS, None, 100_000, RandomStream(22), 0)
+        assert np.mean(draws) == pytest.approx(10 + 1000 * 10.5 / 11.0, abs=1.0)
 
-    def test_beta_mean(self):
-        draws = sample_beta(BetaParams(10.5, 0.5), RandomStream(22), size=100_000)
-        assert np.mean(draws) == pytest.approx(10.5 / 11.0, abs=1e-3)
-
-    def test_beta_binomial_degenerate(self):
-        assert sample_beta_binomial(BetaBinomialParams(0, 0.5, 0.5), RandomStream(5)) == 0
-
-    def test_beta_binomial_frequencies(self):
-        params = BetaBinomialParams(2, 0.5, 0.5)
-        draws = sample_beta_binomial(params, RandomStream(31), size=100_000)
-        freqs = [np.mean(draws == s) for s in range(3)]
-        for freq, expected in zip(freqs, (0.375, 0.25, 0.375)):
-            assert freq == pytest.approx(expected, abs=0.01)
+    def test_posterior_yield_beta_binomial_frequencies(self):
+        # Prior (0.5, 1.5), none relevant of one sampled: BetaBinomial(2, 0.5, 2.5).
+        seg = SegmentData.simple("retrieved", 3, 1, 0)
+        draws = segment_yield_draws(
+            seg, BETA_BINOMIAL, PriorSpec(0.5, 1.5), 100_000, RandomStream(31), 0
+        )
+        params = BetaBinomialParams(2, 0.5, 2.5)
+        for s in range(3):
+            assert np.mean(draws == s) == pytest.approx(beta_binomial_pmf(params, s), abs=0.01)
 
     def test_determinism_same_stream(self):
-        params = BetaBinomialParams(40, 0.5, 0.5)
-        a = sample_beta_binomial(params, RandomStream(9, 4), size=50)
-        b = sample_beta_binomial(params, RandomStream(9, 4), size=50)
+        seg = SegmentData.simple("unretrieved", 500, 60, 7)
+        a = segment_yield_draws(seg, BETA_BINOMIAL, PriorSpec(0.5, 0.5), 50, RandomStream(9, 4), 1)
+        b = segment_yield_draws(seg, BETA_BINOMIAL, PriorSpec(0.5, 0.5), 50, RandomStream(9, 4), 1)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_uncorrelated(self):

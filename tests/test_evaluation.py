@@ -249,6 +249,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown"):
             EvalConfig(master_seed=1, methods=("bootstrap",))
 
+    def test_rejects_duplicate_methods(self):
+        # A repeated method would take two shares of each closest-coverage
+        # tie and write its rows twice.
+        with pytest.raises(ValueError, match="duplicate"):
+            EvalConfig(master_seed=1, methods=("normal-mle", "normal-mle", "koopman"))
+
 
 class TestDesignWidthCurve:
     def test_census_budget_zero_width(self):
@@ -304,10 +310,10 @@ class TestWidthVsSampleSize:
         # before clipping, a handful of positives in tiny samples can push the
         # normal interval beyond the unit range
         from recallci.core import RecallProblem
-        from recallci.intervals import normal_interval_raw
+        from recallci.intervals import CountBatch, normal_mid_half
 
         prob = RecallProblem.simple(1_000_000, 20, 2, 4_000_000, 20, 1)
-        _, half = normal_interval_raw(prob, 0.95, 0)
+        _, (half,) = normal_mid_half(CountBatch.of_problem(prob), 0.95, 0)
         assert 2 * half > 1.0
 
     def test_betabin_narrower_than_normal_at_low_prevalence(self):

@@ -19,33 +19,43 @@ from recallci import intervals
 from recallci.intervals import (
     BETA_BINOMIAL,
     BETA_JEFFREYS,
-    CLOSED_FORMS,
     EXACT_REMAINDER_MAX,
+    METHOD_TABLE,
     METHODS,
-    NORMAL_METHODS,
+    MONTE_CARLO_METHODS,
+    NORMAL_ADJUSTMENTS,
     CountBatch,
     MonteCarloConfig,
-    POSTERIORS,
     PriorSpec,
     RecallInterval,
     _koopman_statistic,
     betabin_exact_bounds,
     compute_interval,
     equal_tail_quantiles,
-    exact_posterior_bounds,
     expected_information_gain,
+    interval_bounds,
     koopman_bounds,
     koopman_interval,
     monte_carlo_interval,
     most_conservative_prior,
-    naive_binomial,
-    normal_interval,
-    normal_interval_raw,
+    normal_bounds,
+    normal_mid_half,
 )
 from recallci.scenarios import builtin_scenario
 from recallci.streams import RandomStream
 
 AUDIT_PROBLEM = RecallProblem.simple(2000, 100, 50, 100000, 100, 3)
+CLOSED_FORM_METHODS = tuple(m for m in METHODS if m not in MONTE_CARLO_METHODS)
+POSTERIOR_METHODS = tuple(m for m in METHODS if m in MONTE_CARLO_METHODS)
+
+
+def prior_of(method):
+    return METHOD_TABLE[method].params[1]
+
+
+def mid_half(problem, adjustment):
+    (mid,), (half,) = normal_mid_half(CountBatch.of_problem(problem), 0.95, adjustment)
+    return mid, half
 
 
 def mc_config(seed, draws=20_000):
@@ -64,49 +74,49 @@ def random_problem(gen, max_pop=3000):
 
 class TestNaiveBinomial:
     def test_direct_formula(self):
-        iv = naive_binomial(AUDIT_PROBLEM, 0.95)
+        iv = compute_interval("naive-binomial", AUDIT_PROBLEM, 0.95)
         assert iv.point == pytest.approx(0.25)
         assert iv.lower == pytest.approx(0.1334, abs=5e-5)
         assert iv.upper == pytest.approx(0.3666, abs=5e-5)
 
     def test_degenerate_zero_point(self):
         prob = RecallProblem.simple(2000, 100, 0, 100000, 100, 3)
-        iv = naive_binomial(prob, 0.95)
+        iv = compute_interval("naive-binomial", prob, 0.95)
         assert (iv.lower, iv.upper) == (0.0, 0.0)
 
     def test_error_when_nothing_relevant(self):
         prob = RecallProblem.simple(2000, 100, 0, 100000, 100, 0)
         with pytest.raises(UndefinedEstimateError):
-            naive_binomial(prob, 0.95)
+            compute_interval("naive-binomial", prob, 0.95)
 
 
 class TestNormalIntervals:
     def test_mle_empty_unretrieved_is_degenerate_before_forcing(self):
         prob = RecallProblem.simple(2000, 100, 50, 100000, 100, 0)
-        mid, half = normal_interval_raw(prob, 0.95, 0)
+        mid, half = mid_half(prob, 0)
         assert (mid, half) == (1.0, 0.0)
-        iv = normal_interval(prob, 0.95, 0)
+        iv = compute_interval("normal-mle", prob, 0.95)
         assert (iv.lower, iv.upper) == (1.0, 1.0)
 
     def test_forcing_rules(self):
         no_unret = RecallProblem.simple(2000, 100, 50, 100000, 100, 0)
         no_ret = RecallProblem.simple(2000, 100, 0, 100000, 100, 3)
-        for adjustment in (0, 1, 2):
-            assert normal_interval(no_unret, 0.95, adjustment).upper == 1.0
-            assert normal_interval(no_ret, 0.95, adjustment).lower == 0.0
+        for method in NORMAL_ADJUSTMENTS:
+            assert compute_interval(method, no_unret, 0.95).upper == 1.0
+            assert compute_interval(method, no_ret, 0.95).lower == 0.0
 
     def test_laplace_symmetric_adjustment(self):
         # one stratum with r = n/2 keeps the adjusted proportion at one half
         prob = RecallProblem.simple(500, 100, 50, 500, 100, 50)
-        mid, _ = normal_interval_raw(prob, 0.95, 1)
+        mid, _ = mid_half(prob, 1)
         assert mid == pytest.approx(0.5, abs=1e-12)
 
     def test_laplace_widens_degenerate_mle(self):
         # zero unretrieved positives give the MLE a zero-width interval; the
         # adjusted counts restore a nonzero spread
         prob = RecallProblem.simple(2000, 100, 50, 100000, 400, 0)
-        _, half_mle = normal_interval_raw(prob, 0.95, 0)
-        _, half_lap = normal_interval_raw(prob, 0.95, 1)
+        _, half_mle = mid_half(prob, 0)
+        _, half_lap = mid_half(prob, 1)
         assert half_mle == 0.0
         assert half_lap > 0.25
 
@@ -120,13 +130,13 @@ class TestNormalIntervals:
                 "unretrieved",
             ),
         )
-        for adjustment in (0, 1, 2):
-            iv = normal_interval(prob, 0.95, adjustment)
+        for method in NORMAL_ADJUSTMENTS:
+            iv = compute_interval(method, prob, 0.95)
             assert 0.0 <= iv.lower <= iv.upper <= 1.0
 
     def test_invalid_adjustment(self):
         with pytest.raises(ValueError):
-            normal_interval(AUDIT_PROBLEM, 0.95, 3)
+            mid_half(AUDIT_PROBLEM, 3)
 
 
 class TestKoopman:
@@ -364,8 +374,8 @@ class TestComputeIntervalDispatch:
 
     def test_normal_laplace_identity(self):
         via_dispatch = compute_interval("normal-laplace", AUDIT_PROBLEM, 0.95)
-        direct = normal_interval(AUDIT_PROBLEM, 0.95, 1)
-        assert (via_dispatch.lower, via_dispatch.upper) == (direct.lower, direct.upper)
+        (lower,), (upper,) = normal_bounds(CountBatch.of_problem(AUDIT_PROBLEM), 0.95, 1)
+        assert (via_dispatch.lower, via_dispatch.upper) == (lower, upper)
 
     def test_koopman_stratified_raises_through_dispatch(self):
         prob = RecallProblem(
@@ -444,33 +454,33 @@ def batch_of(design, pairs):
 
 
 class TestBatchKernels:
-    @pytest.mark.parametrize("method", sorted(CLOSED_FORMS))
+    @pytest.mark.parametrize("method", CLOSED_FORM_METHODS)
     @pytest.mark.parametrize("design", BATCH_DESIGNS)
     def test_batch_bounds_equal_each_pair_alone(self, method, design):
         pairs = design_pairs(design, np.random.default_rng(sum(design) % 2**32))
         if method == "naive-binomial":
             pairs.remove((0, 0))
         for level in (0.95, 0.5, 0.999):
-            lower, upper = CLOSED_FORMS[method](batch_of(design, pairs), level)
+            lower, upper = interval_bounds(method, batch_of(design, pairs), level)
             for k, (r1, r0) in enumerate(pairs):
-                alone = CLOSED_FORMS[method](batch_of(design, [(r1, r0)]), level)
+                alone = interval_bounds(method, batch_of(design, [(r1, r0)]), level)
                 assert (lower[k], upper[k]) == (alone[0][0], alone[1][0]), (r1, r0)
                 n_ret, s_ret, n_unret, s_unret = design
                 problem = RecallProblem.simple(n_ret, s_ret, r1, n_unret, s_unret, r0)
                 iv = compute_interval(method, problem, level)
                 assert (iv.lower, iv.upper) == (lower[k], upper[k]), (r1, r0)
 
-    @pytest.mark.parametrize("method", ["naive-binomial", *NORMAL_METHODS])
+    @pytest.mark.parametrize("method", ["naive-binomial", *NORMAL_ADJUSTMENTS])
     def test_stratified_batch_equals_each_sample_alone(self, method):
         strata = (((1000, 50), (1000, 40)), ((50000, 100), (50000, 100), (7, 7)))
         gen = np.random.default_rng(8)
         relevant = tuple(
             tuple(gen.integers(0, sample + 1, 30) for _, sample in segment) for segment in strata
         )
-        lower, upper = CLOSED_FORMS[method](CountBatch(strata, relevant), 0.95)
+        lower, upper = interval_bounds(method, CountBatch(strata, relevant), 0.95)
         for k in range(30):
             alone = CountBatch(strata, tuple(tuple(r[k:k + 1] for r in seg) for seg in relevant))
-            assert (lower[k], upper[k]) == tuple(b[0] for b in CLOSED_FORMS[method](alone, 0.95))
+            assert (lower[k], upper[k]) == tuple(b[0] for b in interval_bounds(method, alone, 0.95))
 
     @pytest.mark.parametrize("crit", (math.inf, -1.0))
     def test_koopman_bracket_caps_batch_independent(self, monkeypatch, crit):
@@ -507,8 +517,9 @@ class TestBatchKernels:
         )
 
     def test_empty_batch(self):
-        for method, kernel in CLOSED_FORMS.items():
-            lower, upper = kernel(batch_of((100, 10, 1000, 20), np.empty((0, 2), int)), 0.95)
+        for method in CLOSED_FORM_METHODS:
+            batch = batch_of((100, 10, 1000, 20), np.empty((0, 2), int))
+            lower, upper = interval_bounds(method, batch, 0.95)
             assert lower.shape == upper.shape == (0,), method
 
 
@@ -607,7 +618,7 @@ class TestExactBetaBinomial:
             if trial % 13 == 0:  # all-relevant sample
                 n, s, _ = unretrieved[0]
                 unretrieved[0] = (n, s, s)
-            prior = POSTERIORS[method][1]
+            prior = prior_of(method)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 expected, tie = exhaustive_bounds(retrieved, unretrieved, prior, level)
@@ -636,7 +647,7 @@ class TestExactBetaBinomial:
     @pytest.mark.parametrize("level", LEVELS)
     def test_degenerate_counts(self, method, counts, level):
         retrieved, unretrieved = [counts[0]], [counts[1]]
-        prior = POSTERIORS[method][1]
+        prior = prior_of(method)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             expected, tie = exhaustive_bounds(retrieved, unretrieved, prior, level)
@@ -657,7 +668,7 @@ class TestExactBetaBinomial:
         design = (6000, 150, 9000, 400)
         pairs = design_pairs(design, gen)
         batch = batch_of(design, pairs)
-        prior = POSTERIORS[method][1]
+        prior = prior_of(method)
         for level in (0.95, 1.0 - 1e-12):
             truncated = betabin_exact_bounds(batch, level, prior)
             monkeypatch.setattr(intervals, "_TAIL_SHARE", 0.0)
@@ -680,9 +691,9 @@ class TestExactBetaBinomial:
         n_ret, s_ret, n_unret, s_unret = design
         config = mc_config(1, draws=1000)
         for level in (0.95, 0.5):
-            lower, upper = exact_posterior_bounds(method, batch_of(design, pairs), level)
+            lower, upper = interval_bounds(method, batch_of(design, pairs), level, config)
             for k, (r1, r0) in enumerate(pairs):
-                alone = exact_posterior_bounds(method, batch_of(design, [(r1, r0)]), level)
+                alone = interval_bounds(method, batch_of(design, [(r1, r0)]), level, config)
                 assert (lower[k], upper[k]) == (alone[0][0], alone[1][0]), (r1, r0)
                 problem = RecallProblem.simple(n_ret, s_ret, r1, n_unret, s_unret, r0)
                 iv = compute_interval(method, problem, level, config)
@@ -694,47 +705,66 @@ class TestExactBetaBinomial:
         relevant = tuple(
             tuple(gen.integers(0, sample + 1, 25) for _, sample in segment) for segment in strata
         )
+        config = mc_config(1, draws=1000)
         for method in BETABIN_METHODS:
-            lower, upper = exact_posterior_bounds(method, CountBatch(strata, relevant), 0.95)
+            lower, upper = interval_bounds(method, CountBatch(strata, relevant), 0.95, config)
             for k in range(25):
                 alone = CountBatch(strata, tuple(tuple(r[k:k + 1] for r in seg) for seg in relevant))
                 assert (lower[k], upper[k]) == tuple(
-                    b[0] for b in exact_posterior_bounds(method, alone, 0.95)
+                    b[0] for b in interval_bounds(method, alone, 0.95, config)
                 )
 
     def test_harness_bounds_equal_compute_interval(self, monkeypatch):
+        # Exact bounds on `small`; Monte Carlo above the remainder limit on
+        # `legal` and `neutral`, from the harness's own streams.
         seen = []
 
-        def recording(method, batch, level):
-            bounds = exact_posterior_bounds(method, batch, level)
+        def recording(method, batch, level, config):
+            bounds = interval_bounds(method, batch, level, config)
             seen.append((method, batch, level, bounds))
             return bounds
 
-        monkeypatch.setattr(evaluation, "exact_posterior_bounds", recording)
+        monkeypatch.setattr(evaluation, "interval_bounds", recording)
+        methods = ("koopman", *POSTERIOR_METHODS)
         config = evaluation.EvalConfig(
             master_seed=5, realizations=2, samples_per_realization=60, mc_draws=1000,
-            methods=("koopman", *BETABIN_METHODS),
+            methods=methods,
         )
-        evaluation.evaluate_coverage(builtin_scenario("small"), config)
-        assert [m for m, *_ in seen] == list(BETABIN_METHODS) * 2
-        mc = mc_config(1, draws=1000)
-        for method, batch, level, (lower, upper) in seen:
-            ((n_ret, s_ret),), ((n_unret, s_unret),) = batch.strata
-            (r1s,), (r0s,) = batch.relevant
-            for k, (r1, r0) in enumerate(zip(r1s.tolist(), r0s.tolist())):
-                problem = RecallProblem.simple(n_ret, s_ret, r1, n_unret, s_unret, r0)
-                iv = compute_interval(method, problem, level, mc)
-                assert (iv.lower, iv.upper) == (lower[k], upper[k]), (method, r1, r0)
+        base = RandomStream(config.master_seed)
+        for scenario in ("small", "legal", "neutral"):
+            seen.clear()
+            evaluation.evaluate_coverage(builtin_scenario(scenario), config)
+            assert [m for m, *_ in seen] == list(methods) * 2
+            # A batch takes exact bounds when every remainder is within the limit.
+            exact = {
+                all(n - s <= EXACT_REMAINDER_MAX for strata in batch.strata for n, s in strata)
+                for _, batch, *_ in seen
+            }
+            assert exact == {scenario == "small"}
+            for position, (method, batch, level, (lower, upper)) in enumerate(seen):
+                stream = base.substream(
+                    evaluation._NS_POSTERIOR, position // len(methods), METHODS.index(method)
+                )
+                mc = MonteCarloConfig(stream, config.mc_draws)
+                ((n_ret, s_ret),), ((n_unret, s_unret),) = batch.strata
+                (r1s,), (r0s,) = batch.relevant
+                for k, (r1, r0) in enumerate(zip(r1s.tolist(), r0s.tolist())):
+                    problem = RecallProblem.simple(n_ret, s_ret, r1, n_unret, s_unret, r0)
+                    iv = compute_interval(method, problem, level, mc)
+                    assert (iv.lower, iv.upper) == (lower[k], upper[k]), (scenario, method, r1, r0)
 
     def test_empty_batch(self):
         for method in BETABIN_METHODS:
-            lower, upper = exact_posterior_bounds(
-                method, batch_of((100, 10, 1000, 20), np.empty((0, 2), int)), 0.95
+            lower, upper = interval_bounds(
+                method, batch_of((100, 10, 1000, 20), np.empty((0, 2), int)), 0.95,
+                mc_config(1, draws=1000),
             )
             assert lower.shape == upper.shape == (0,)
 
-    def test_beta_jeffreys_stays_monte_carlo(self):
-        assert exact_posterior_bounds("beta-jeffreys", batch_of((50, 10, 80, 20), [(3, 4)]), 0.95) is None
+    def test_beta_jeffreys_stays_monte_carlo(self, monkeypatch):
+        monkeypatch.setattr(intervals, "monte_carlo_bounds", lambda *args: "monte carlo")
+        batch = batch_of((50, 10, 80, 20), [(3, 4)])
+        assert interval_bounds("beta-jeffreys", batch, 0.95, mc_config(1, 1000)) == "monte carlo"
 
     def test_exact_up_to_the_remainder_limit(self, monkeypatch):
         def no_monte_carlo(*args, **kwargs):
@@ -742,27 +772,35 @@ class TestExactBetaBinomial:
 
         problem = RecallProblem.simple(EXACT_REMAINDER_MAX + 150, 150, 40, 6000, 300, 9)
         batch = CountBatch.of_problem(problem)
-        monkeypatch.setattr(intervals, "monte_carlo_interval", no_monte_carlo)
+        monkeypatch.setattr(intervals, "monte_carlo_bounds", no_monte_carlo)
         for method in BETABIN_METHODS:
             iv = compute_interval(method, problem, 0.95, mc_config(11, draws=4000))
-            (lower,), (upper,) = exact_posterior_bounds(method, batch, 0.95)
+            (lower,), (upper,) = betabin_exact_bounds(batch, 0.95, prior_of(method))
             assert (iv.lower, iv.upper) == (lower, upper)
+        # One below, the same problem takes the Monte Carlo path.
+        monkeypatch.setattr(intervals, "EXACT_REMAINDER_MAX", EXACT_REMAINDER_MAX - 1)
+        for method in BETABIN_METHODS:
+            with pytest.raises(AssertionError, match="Monte Carlo path ran"):
+                compute_interval(method, problem, 0.95, mc_config(11, draws=4000))
 
-    def test_monte_carlo_above_the_remainder_limit(self):
-        # One past the limit the Monte Carlo path runs with the same draws as
-        # before exact quantiles existed; these are its bounds, bit for bit.
+    def test_monte_carlo_above_the_remainder_limit(self, monkeypatch):
+        # One past the limit the Monte Carlo path runs; these are its bounds,
+        # bit for bit, with streams keyed by segment and relevant counts.
+        def no_exact(*args, **kwargs):
+            raise AssertionError("exact path ran")
+
         assert EXACT_REMAINDER_MAX == 20_000
         problem = RecallProblem.simple(EXACT_REMAINDER_MAX + 1 + 150, 150, 40, 6000, 300, 9)
-        assert exact_posterior_bounds("betabin-half", CountBatch.of_problem(problem), 0.95) is None
+        monkeypatch.setattr(intervals, "betabin_exact_bounds", no_exact)
         before = {
-            "betabin-uniform": (0.9394130640580625, 0.9835966892400301),
-            "betabin-mcp": (0.9413118527042578, 0.9843368300043109),
-            "betabin-half": (0.9409321642824181, 0.9843352523764894),
+            "betabin-uniform": (0.9374405780566648, 0.9833568406205924),
+            "betabin-mcp": (0.9392128580259633, 0.984139205420388),
+            "betabin-half": (0.9390344827586207, 0.9841820151679307),
         }
         for method, bounds in before.items():
             iv = compute_interval(method, problem, 0.95, mc_config(11, draws=4000))
             assert (iv.lower, iv.upper) == bounds
-            family, prior = POSTERIORS[method]
+            family, prior = METHOD_TABLE[method].params
             direct = monte_carlo_interval(
                 problem, 0.95, family, prior, mc_config(11, draws=4000), method
             )
@@ -785,6 +823,70 @@ class TestExactBetaBinomial:
         for level in (0.0, 1.0):
             with pytest.raises(ValueError, match="strictly inside"):
                 compute_interval("betabin-half", problem, level, mc_config(1, draws=1000))
+
+
+class TestMonteCarloBatch:
+    def test_stratified_batch_equals_each_sample_alone(self):
+        # Remainders above the exact limit; few distinct counts per stratum,
+        # so samples share their segments' draws, and sample 0 holds none.
+        strata = (((300_000, 50), (500_000, 40)), ((2_000_000, 100), (3_000_000, 100), (7, 7)))
+        gen = np.random.default_rng(10)
+        relevant = tuple(
+            tuple(np.append(0, gen.integers(0, 3, 24)) for _ in segment) for segment in strata
+        )
+        batch = CountBatch(strata, relevant)
+        for method in POSTERIOR_METHODS:
+            config = mc_config(3, draws=2000)
+            lower, upper = interval_bounds(method, batch, 0.95, config)
+            assert (lower[0], upper[0]) == (0.0, 1.0)
+            for k in range(25):
+                alone = CountBatch(strata, tuple(tuple(r[k:k + 1] for r in seg) for seg in relevant))
+                assert (lower[k], upper[k]) == tuple(
+                    b[0] for b in interval_bounds(method, alone, 0.95, config)
+                ), (method, k)
+
+    def test_draws_once_per_distinct_segment_counts(self, monkeypatch):
+        draw = intervals.segment_yield_draws
+        keys = []
+
+        def recording(segment, family, prior, draws, rng, segment_index):
+            keys.append((segment_index, rng.path))
+            return draw(segment, family, prior, draws, rng, segment_index)
+
+        monkeypatch.setattr(intervals, "segment_yield_draws", recording)
+        design = (10**6, 100, 10**7, 200)
+        pairs = [(3, 4), (3, 5), (0, 0), (2, 4), (3, 4), (0, 5)]
+        stream = RandomStream(4, path=(9,))
+        interval_bounds("betabin-half", batch_of(design, pairs), 0.95, MonteCarloConfig(stream, 1000))
+        assert sorted(keys) == [
+            (0, (9, 0, r1)) for r1 in (0, 2, 3)
+        ] + [(1, (9, 1, r0)) for r0 in (4, 5)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_nothing_sampled_relevant(method, monkeypatch):
+    """(0, 0): naive-binomial raises; the others give [0, 1], draw nothing
+    and resolve no prior, exact and Monte Carlo designs alike."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a (0, 0) sample drew or resolved a prior")
+
+    monkeypatch.setattr(intervals, "_resolve_prior", forbidden)
+    monkeypatch.setattr(intervals, "segment_yield_draws", forbidden)
+    config = mc_config(1, draws=1000)
+    for design in ((50, 10, 80, 20), (10**6, 100, 10**7, 200)):
+        problem = RecallProblem.simple(design[0], design[1], 0, design[2], design[3], 0)
+        batch = batch_of(design, [(0, 0), (0, 0)])
+        if method == "naive-binomial":
+            with pytest.raises(UndefinedEstimateError):
+                compute_interval(method, problem, 0.95, config)
+            with pytest.raises(UndefinedEstimateError):
+                interval_bounds(method, batch, 0.95, config)
+            continue
+        iv = compute_interval(method, problem, 0.95, config)
+        assert (iv.lower, iv.upper, iv.point) == (0.0, 1.0, None)
+        lower, upper = interval_bounds(method, batch, 0.95, config)
+        assert (lower.tolist(), upper.tolist()) == ([0.0, 0.0], [1.0, 1.0])
 
 
 class TestDrawThreads:
@@ -818,7 +920,7 @@ class TestDrawThreads:
             bounds[threads] = [
                 compute_interval(method, problem, 0.95, mc_config(k, draws=2000))
                 for k, problem in enumerate(self.problems())
-                for method in POSTERIORS
+                for method in POSTERIOR_METHODS
             ]
         assert bounds[1] == bounds[4]
 
@@ -846,7 +948,7 @@ class TestDrawThreads:
         def bounds(k):
             return [
                 compute_interval(method, problems[k], 0.95, mc_config(k, draws=2000))
-                for method in POSTERIORS
+                for method in POSTERIOR_METHODS
             ]
 
         expected = [bounds(k) for k in range(len(problems))] * 3
