@@ -78,10 +78,6 @@ class SegmentData:
         return sum(s.population_size for s in self.strata)
 
     @property
-    def total_sampled(self) -> int:
-        return sum(s.sample_size for s in self.strata)
-
-    @property
     def total_relevant_sampled(self) -> int:
         return sum(s.relevant_in_sample for s in self.strata)
 
@@ -105,10 +101,6 @@ class RecallProblem:
             SegmentData.simple(RETRIEVED, n_ret, s_ret, r_ret),
             SegmentData.simple(UNRETRIEVED, n_unret, s_unret, r_unret),
         )
-
-    @property
-    def is_stratified(self) -> bool:
-        return len(self.retrieved.strata) > 1 or len(self.unretrieved.strata) > 1
 
 
 @dataclass(frozen=True)

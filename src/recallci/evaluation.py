@@ -28,8 +28,6 @@ from .intervals import (
     NORMAL_ADJUSTMENTS,
     CountBatch,
     MonteCarloConfig,
-    _available_cpus,
-    _set_draw_threads,
     interval_bounds,
     normal_mid_half,
 )
@@ -215,8 +213,8 @@ def _sample_counts(
 ) -> np.ndarray:
     """Relevant counts (r1, r0) of ``samples`` simulated samples from one world.
 
-    Sample j draws both segments' hypergeometric counts from the generator of
-    ``stream.substream(j)``; the result has one row per sample.
+    One generator of ``stream`` draws every sample's retrieved count, then
+    every sample's unretrieved count; the result has one row per sample.
     """
     hg_ret = HypergeomParams(
         truth.retrieved_size, truth.retrieved_yield, design.retrieved_sample
@@ -224,10 +222,10 @@ def _sample_counts(
     hg_unret = HypergeomParams(
         truth.unretrieved_size, truth.unretrieved_yield, design.unretrieved_sample
     )
+    gen = stream.generator()
     counts = np.empty((samples, 2), dtype=np.int64)
-    for j in range(samples):
-        gen = stream.substream(j).generator()
-        counts[j] = sample_hypergeom(hg_ret, gen), sample_hypergeom(hg_unret, gen)
+    counts[:, 0] = sample_hypergeom(hg_ret, gen, size=samples)
+    counts[:, 1] = sample_hypergeom(hg_unret, gen, size=samples)
     return counts
 
 
@@ -295,19 +293,13 @@ def evaluate_coverage(spec: ScenarioSpec, config: EvalConfig) -> CoverageReport:
     Samples with no relevant documents in either segment leave every method
     without a point estimate and are tallied as undefined (non-covering).
     The report is bit-identical across runs with the same master seed,
-    independent of the worker count, the draw thread count and the order
-    of the methods.
+    independent of the worker count and the order of the methods.
     """
     indices = range(config.realizations)
     if config.workers == 1:
         rows = [_evaluate_realization(spec, config, i) for i in indices]
     else:
-        # Each child draws posteriors on its share of the CPUs.
-        with ProcessPoolExecutor(
-            max_workers=config.workers,
-            initializer=_set_draw_threads,
-            initargs=(max(1, _available_cpus() // config.workers),),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             rows = list(
                 pool.map(
                     _realization_worker,
@@ -366,23 +358,25 @@ def _mean_width(
 
     Unclipped normal widths keep the methods' characteristic behavior
     visible in design studies (widths above 1 for tiny low-prevalence
-    samples, 1/sqrt(n) decay for large ones).  Posterior draws are keyed
-    below ``stream`` by segment and counts, apart from the per-sample count
-    streams ``stream.substream(j)``.
+    samples, 1/sqrt(n) decay for large ones).  A sample with no relevant
+    document in either segment has no estimate and counts as width 1, the
+    forced [0, 1], under every method.  The sample counts are drawn from
+    ``stream``, and no posterior bound depends on a stream.
     """
     pairs, inverse = np.unique(
         _sample_counts(truth, design, samples, stream), axis=0, return_inverse=True
     )
-    batch = _count_batch(truth, design, pairs)
+    defined = pairs.any(axis=1)
+    widths = np.ones(len(pairs))
+    batch = _count_batch(truth, design, pairs[defined])
     if method in NORMAL_ADJUSTMENTS:
         _, half = normal_mid_half(batch, level, NORMAL_ADJUSTMENTS[method])
-        # No estimate exists without relevant documents: the forced [0, 1].
-        widths = np.where(np.isnan(half), 1.0, 2.0 * half)
+        widths[defined] = 2.0 * half
     else:
         lower, upper = interval_bounds(
             method, batch, level, MonteCarloConfig(stream, config.draws)
         )
-        widths = upper - lower
+        widths[defined] = upper - lower
     return float(np.mean(widths[inverse.reshape(-1)]))
 
 

@@ -258,6 +258,20 @@ class TestDesign:
         assert len(lines) == 2 + 3
         assert "minimal expected width" in capsys.readouterr().out
 
+    def test_samples_with_nothing_relevant_count_as_width_one(self, capsys):
+        # At 20 samples, some hold no relevant document in either segment;
+        # naive-binomial has no interval for them, and they count as [0, 1].
+        rc = main(
+            [
+                "design", "--truth", "500000,20,4500000,5", "--budget", "400", "--seed", "5",
+                "--samples", "20", "--draws", "2000", "--grid", "3", "--method", "naive-binomial",
+            ]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        widths = [float(line.split(",")[1]) for line in lines[2:-1]]
+        assert len(widths) == 3 and all(0.0 < w <= 1.0 for w in widths)
+
 
 class TestBinom:
     def test_coverage_curve_csv(self, tmp_path, capsys):

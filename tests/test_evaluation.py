@@ -1,13 +1,8 @@
 """Coverage harness accounting, determinism, and design tools."""
 
-import multiprocessing
-import threading
-from concurrent.futures.process import BrokenProcessPool
-
 import numpy as np
 import pytest
 
-from recallci import evaluation, intervals
 from recallci.core import RealizationTruth
 from recallci.evaluation import (
     CoverageReport,
@@ -182,60 +177,6 @@ class TestDeterminism:
         nine = study("legal")
         for methods in (("betabin-half",), tuple(reversed(METHODS))):
             assert_same_reports(study("legal", methods), nine, methods)
-
-
-class TestDrawThreads:
-    """Posterior draws give the same reports at any thread count."""
-
-    @pytest.fixture(autouse=True)
-    def thread_small_batches(self, monkeypatch):
-        monkeypatch.setattr(intervals, "_THREADED_DRAWS_MIN", 0)
-
-    def test_reports_equal_at_one_and_four_threads(self, monkeypatch):
-        draw = intervals.segment_yield_draws
-        threads_seen = {1: set(), 4: set()}
-        for scenario in ("legal", "neutral"):
-            reports = {}
-            for threads in (1, 4):
-                monkeypatch.setattr(intervals, "_draw_threads", threads)
-                seen = threads_seen[threads]
-
-                def recording(*args):
-                    seen.add(threading.current_thread())
-                    return draw(*args)
-
-                monkeypatch.setattr(intervals, "segment_yield_draws", recording)
-                reports[threads] = study(scenario)
-            assert_same_reports(reports[1], reports[4], METHODS)
-        assert threads_seen[1] == {threading.current_thread()}
-        assert len(threads_seen[4]) > 1
-
-    def test_workers_forked_after_the_pool_exists(self, monkeypatch):
-        # The parent draws on its pool, then forks two children with two
-        # draw threads each; a child that reused the parent's pool would wait
-        # forever on threads it does not have.
-        monkeypatch.setattr(intervals, "_draw_threads", 2)
-        monkeypatch.setattr(evaluation, "_available_cpus", lambda: 4)
-        sequential = study("legal")
-        assert intervals._draw_pool is not None
-        hung = threading.Event()
-
-        def kill_children():
-            hung.set()
-            for child in multiprocessing.active_children():
-                child.kill()
-
-        watchdog = threading.Timer(60, kill_children)
-        watchdog.start()
-        try:
-            pooled = study("legal", workers=2)
-        except BrokenProcessPool:
-            if hung.is_set():
-                pytest.fail("workers=2 did not finish within 60 s")
-            raise
-        finally:
-            watchdog.cancel()
-        assert_same_reports(sequential, pooled, METHODS)
 
 
 class TestConfigValidation:

@@ -1,10 +1,7 @@
 """The nine recall interval methods."""
 
 import math
-import sys
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,7 +16,6 @@ from recallci import intervals
 from recallci.intervals import (
     BETA_BINOMIAL,
     BETA_JEFFREYS,
-    EXACT_REMAINDER_MAX,
     METHOD_TABLE,
     METHODS,
     MONTE_CARLO_METHODS,
@@ -36,10 +32,13 @@ from recallci.intervals import (
     interval_bounds,
     koopman_bounds,
     koopman_interval,
+    monte_carlo_bounds,
     monte_carlo_interval,
     most_conservative_prior,
     normal_bounds,
     normal_mid_half,
+    posterior_bounds,
+    segment_yield_draws,
 )
 from recallci.scenarios import builtin_scenario
 from recallci.streams import RandomStream
@@ -367,10 +366,11 @@ class TestMostConservativePrior:
 class TestComputeIntervalDispatch:
     def test_betabin_half_identity(self):
         via_dispatch = compute_interval("betabin-half", AUDIT_PROBLEM, 0.95, mc_config(7))
-        direct = monte_carlo_interval(
-            AUDIT_PROBLEM, 0.95, BETA_BINOMIAL, PriorSpec(0.5, 0.5), mc_config(7)
+        (lower,), (upper,) = posterior_bounds(
+            CountBatch.of_problem(AUDIT_PROBLEM), 0.95, BETA_BINOMIAL, PriorSpec(0.5, 0.5),
+            mc_config(7),
         )
-        assert (via_dispatch.lower, via_dispatch.upper) == (direct.lower, direct.upper)
+        assert (via_dispatch.lower, via_dispatch.upper) == (lower, upper)
 
     def test_normal_laplace_identity(self):
         via_dispatch = compute_interval("normal-laplace", AUDIT_PROBLEM, 0.95)
@@ -715,8 +715,8 @@ class TestExactBetaBinomial:
                 )
 
     def test_harness_bounds_equal_compute_interval(self, monkeypatch):
-        # Exact bounds on `small`; Monte Carlo above the remainder limit on
-        # `legal` and `neutral`, from the harness's own streams.
+        # Exact beta-binomial bounds on `small`, lattice bounds on `legal`
+        # and `neutral`; any seed and draw count give the harness's bounds.
         seen = []
 
         def recording(method, batch, level, config):
@@ -730,27 +730,16 @@ class TestExactBetaBinomial:
             master_seed=5, realizations=2, samples_per_realization=60, mc_draws=1000,
             methods=methods,
         )
-        base = RandomStream(config.master_seed)
         for scenario in ("small", "legal", "neutral"):
             seen.clear()
             evaluation.evaluate_coverage(builtin_scenario(scenario), config)
             assert [m for m, *_ in seen] == list(methods) * 2
-            # A batch takes exact bounds when every remainder is within the limit.
-            exact = {
-                all(n - s <= EXACT_REMAINDER_MAX for strata in batch.strata for n, s in strata)
-                for _, batch, *_ in seen
-            }
-            assert exact == {scenario == "small"}
-            for position, (method, batch, level, (lower, upper)) in enumerate(seen):
-                stream = base.substream(
-                    evaluation._NS_POSTERIOR, position // len(methods), METHODS.index(method)
-                )
-                mc = MonteCarloConfig(stream, config.mc_draws)
+            for method, batch, level, (lower, upper) in seen:
                 ((n_ret, s_ret),), ((n_unret, s_unret),) = batch.strata
                 (r1s,), (r0s,) = batch.relevant
                 for k, (r1, r0) in enumerate(zip(r1s.tolist(), r0s.tolist())):
                     problem = RecallProblem.simple(n_ret, s_ret, r1, n_unret, s_unret, r0)
-                    iv = compute_interval(method, problem, level, mc)
+                    iv = compute_interval(method, problem, level, mc_config(k, draws=1000 + k))
                     assert (iv.lower, iv.upper) == (lower[k], upper[k]), (scenario, method, r1, r0)
 
     def test_empty_batch(self):
@@ -760,51 +749,6 @@ class TestExactBetaBinomial:
                 mc_config(1, draws=1000),
             )
             assert lower.shape == upper.shape == (0,)
-
-    def test_beta_jeffreys_stays_monte_carlo(self, monkeypatch):
-        monkeypatch.setattr(intervals, "monte_carlo_bounds", lambda *args: "monte carlo")
-        batch = batch_of((50, 10, 80, 20), [(3, 4)])
-        assert interval_bounds("beta-jeffreys", batch, 0.95, mc_config(1, 1000)) == "monte carlo"
-
-    def test_exact_up_to_the_remainder_limit(self, monkeypatch):
-        def no_monte_carlo(*args, **kwargs):
-            raise AssertionError("Monte Carlo path ran")
-
-        problem = RecallProblem.simple(EXACT_REMAINDER_MAX + 150, 150, 40, 6000, 300, 9)
-        batch = CountBatch.of_problem(problem)
-        monkeypatch.setattr(intervals, "monte_carlo_bounds", no_monte_carlo)
-        for method in BETABIN_METHODS:
-            iv = compute_interval(method, problem, 0.95, mc_config(11, draws=4000))
-            (lower,), (upper,) = betabin_exact_bounds(batch, 0.95, prior_of(method))
-            assert (iv.lower, iv.upper) == (lower, upper)
-        # One below, the same problem takes the Monte Carlo path.
-        monkeypatch.setattr(intervals, "EXACT_REMAINDER_MAX", EXACT_REMAINDER_MAX - 1)
-        for method in BETABIN_METHODS:
-            with pytest.raises(AssertionError, match="Monte Carlo path ran"):
-                compute_interval(method, problem, 0.95, mc_config(11, draws=4000))
-
-    def test_monte_carlo_above_the_remainder_limit(self, monkeypatch):
-        # One past the limit the Monte Carlo path runs; these are its bounds,
-        # bit for bit, with streams keyed by segment and relevant counts.
-        def no_exact(*args, **kwargs):
-            raise AssertionError("exact path ran")
-
-        assert EXACT_REMAINDER_MAX == 20_000
-        problem = RecallProblem.simple(EXACT_REMAINDER_MAX + 1 + 150, 150, 40, 6000, 300, 9)
-        monkeypatch.setattr(intervals, "betabin_exact_bounds", no_exact)
-        before = {
-            "betabin-uniform": (0.9374405780566648, 0.9833568406205924),
-            "betabin-mcp": (0.9392128580259633, 0.984139205420388),
-            "betabin-half": (0.9390344827586207, 0.9841820151679307),
-        }
-        for method, bounds in before.items():
-            iv = compute_interval(method, problem, 0.95, mc_config(11, draws=4000))
-            assert (iv.lower, iv.upper) == bounds
-            family, prior = METHOD_TABLE[method].params
-            direct = monte_carlo_interval(
-                problem, 0.95, family, prior, mc_config(11, draws=4000), method
-            )
-            assert (direct.lower, direct.upper) == bounds
 
     def test_nothing_sampled_relevant_resolves_no_prior(self):
         # The most conservative prior rejects an empty stratum sample; a
@@ -825,10 +769,10 @@ class TestExactBetaBinomial:
                 compute_interval("betabin-half", problem, level, mc_config(1, draws=1000))
 
 
-class TestMonteCarloBatch:
+class TestStratifiedBatch:
     def test_stratified_batch_equals_each_sample_alone(self):
-        # Remainders above the exact limit; few distinct counts per stratum,
-        # so samples share their segments' draws, and sample 0 holds none.
+        # Large remainders; few distinct counts per stratum, so samples share
+        # their segments' posteriors, and sample 0 holds none.
         strata = (((300_000, 50), (500_000, 40)), ((2_000_000, 100), (3_000_000, 100), (7, 7)))
         gen = np.random.default_rng(10)
         relevant = tuple(
@@ -845,7 +789,7 @@ class TestMonteCarloBatch:
                     b[0] for b in interval_bounds(method, alone, 0.95, config)
                 ), (method, k)
 
-    def test_draws_once_per_distinct_segment_counts(self, monkeypatch):
+    def test_monte_carlo_draws_once_per_distinct_segment_counts(self, monkeypatch):
         draw = intervals.segment_yield_draws
         keys = []
 
@@ -857,7 +801,10 @@ class TestMonteCarloBatch:
         design = (10**6, 100, 10**7, 200)
         pairs = [(3, 4), (3, 5), (0, 0), (2, 4), (3, 4), (0, 5)]
         stream = RandomStream(4, path=(9,))
-        interval_bounds("betabin-half", batch_of(design, pairs), 0.95, MonteCarloConfig(stream, 1000))
+        monte_carlo_bounds(
+            batch_of(design, pairs), 0.95, BETA_BINOMIAL, PriorSpec(0.5, 0.5),
+            MonteCarloConfig(stream, 1000),
+        )
         assert sorted(keys) == [
             (0, (9, 0, r1)) for r1 in (0, 2, 3)
         ] + [(1, (9, 1, r0)) for r0 in (4, 5)]
@@ -889,99 +836,191 @@ def test_nothing_sampled_relevant(method, monkeypatch):
         assert (lower.tolist(), upper.tolist()) == ([0.0, 0.0], [1.0, 1.0])
 
 
-class TestDrawThreads:
-    """Monte Carlo bounds are the same at any draw thread count."""
+LATTICE_TOL = 2e-5
+"""Largest gap allowed between lattice and exact beta-binomial bounds.
 
-    @staticmethod
-    def problems():
-        gen = np.random.default_rng(21)
+Ten times below the median gap of 10,000-draw Monte Carlo bounds to exact
+ones.  On the problems of ``test_lattice_matches_exact_bounds`` the lattice
+answered 156 of 300 pairs (the switch rule sent the rest to the exact
+kernel): largest gap 8.0e-6, p90 2.6e-6, median 8.0e-7.
+"""
 
-        def segment(label, strata):
-            counts = []
-            for _ in range(strata):
-                population = int(gen.integers(EXACT_REMAINDER_MAX + 100, 10**7))
-                sample = int(gen.integers(2, 400))
-                counts.append(StratumCounts(population, sample, int(gen.integers(0, sample + 1))))
-            return SegmentData(tuple(counts), label)
 
-        return [
-            RecallProblem(segment("retrieved", strata), segment("unretrieved", strata))
-            for strata in (1, 1, 1, 2, 2, 3)
-        ]
+def random_lattice_problem(gen, strata):
+    """Remainders of 2,000-20,000, samples of 2-30% of a stratum, and
+    prevalences up to 0.6 with one stratum in ten all relevant."""
+    segments = []
+    for count in strata:
+        segment = []
+        for _ in range(count):
+            remainder = int(gen.integers(2000, 20_001))
+            fraction = gen.uniform(0.02, 0.3)
+            sample = max(1, round(remainder * fraction / (1.0 - fraction)))
+            r = sample if gen.random() < 0.1 else int(gen.binomial(sample, gen.uniform(0.0, 0.6)))
+            segment.append((remainder + sample, sample, r))
+        segments.append(segment)
+    return segments
 
-    @pytest.fixture(autouse=True)
-    def thread_small_batches(self, monkeypatch):
-        monkeypatch.setattr(intervals, "_THREADED_DRAWS_MIN", 0)
 
-    def test_bounds_equal_at_one_and_four_threads(self, monkeypatch):
-        bounds = {}
-        for threads in (1, 4):
-            monkeypatch.setattr(intervals, "_draw_threads", threads)
-            bounds[threads] = [
-                compute_interval(method, problem, 0.95, mc_config(k, draws=2000))
-                for k, problem in enumerate(self.problems())
-                for method in POSTERIOR_METHODS
-            ]
-        assert bounds[1] == bounds[4]
+def lattice_answers(batch, prior):
+    """Whether the lattice, not the exact kernel, gives this one-sample batch's bounds."""
+    sds = [
+        intervals._betabin_yield_sd(strata, tuple(int(r[0]) for r in counts), prior)
+        for strata, counts in zip(batch.strata, batch.relevant)
+    ]
+    return sds[0] * sds[1] >= intervals._LATTICE_ATOMS_MIN
 
-    def test_small_batches_run_inline(self, monkeypatch):
-        monkeypatch.setattr(intervals, "_draw_threads", 4)
-        monkeypatch.setattr(intervals, "_THREADED_DRAWS_MIN", 2 * 40_000 + 1)
-        draw = intervals.segment_yield_draws
-        seen = set()
 
-        def recording(*args):
-            seen.add(threading.current_thread())
-            return draw(*args)
+def reference_mass_below(method, problem, bound, draws=10**7, chunk=10**6, seed=77):
+    """Share of ``draws`` Monte Carlo posterior recall values at or below ``bound``."""
+    family, prior = METHOD_TABLE[method].params
+    below = 0
+    for c in range(draws // chunk):
+        stream = RandomStream(seed, path=(c,))
+        y1 = segment_yield_draws(problem.retrieved, family, prior, chunk, stream, 0)
+        y0 = segment_yield_draws(problem.unretrieved, family, prior, chunk, stream, 1)
+        below += int(np.count_nonzero(y1 / (y1 + y0) <= bound))
+    return below / draws
 
-        monkeypatch.setattr(intervals, "segment_yield_draws", recording)
-        problem = self.problems()[0]
-        compute_interval("betabin-half", problem, 0.95, mc_config(1, draws=40_000))
-        assert seen == {threading.current_thread()}
-        compute_interval("betabin-half", problem, 0.95, mc_config(1, draws=40_001))
-        assert len(seen) == 2
 
-    def test_concurrent_callers_share_the_pool(self, monkeypatch):
-        monkeypatch.setattr(intervals, "_draw_threads", 4)
-        problems = self.problems()
+class TestLattice:
+    def test_lattice_matches_exact_bounds(self):
+        gen = np.random.default_rng(20130217)
+        answered, gaps = 0, []
+        for trial in range(300):
+            method = BETABIN_METHODS[trial % 3]
+            prior = prior_of(method)
+            segments = random_lattice_problem(gen, (1, 1 + trial % 2))
+            r1, r0 = (sum(r for *_, r in seg) for seg in segments)
+            if r1 == 0 and r0 == 0:
+                continue
+            batch = strata_batch(*segments)
+            (lower,), (upper,) = interval_bounds(method, batch, 0.95, mc_config(1, 1000))
+            (exact_lo,), (exact_hi,) = betabin_exact_bounds(batch, 0.95, prior)
+            gaps.append(max(abs(lower - exact_lo), abs(upper - exact_hi)))
+            assert gaps[-1] <= LATTICE_TOL, (trial, segments, method)
+            answered += lattice_answers(batch, prior)
+        assert len(gaps) >= 290 and answered >= 120
 
-        def bounds(k):
-            return [
-                compute_interval(method, problems[k], 0.95, mc_config(k, draws=2000))
-                for method in POSTERIOR_METHODS
-            ]
-
-        expected = [bounds(k) for k in range(len(problems))] * 3
-        monkeypatch.setattr(intervals, "_draw_pool", None)  # the callers race to build it
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(8) as callers:
-                got = list(callers.map(bounds, list(range(len(problems))) * 3, timeout=60))
-        finally:
-            sys.setswitchinterval(switch)
-        assert got == expected
-
-    def test_prior_warnings_and_errors_stay_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(intervals, "_draw_threads", 4)
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            ([(2_400_000, 320, 57)], [(31_000_000, 1600, 9)]),  # legal-sized
+            ([(400_000, 160, 0)], [(9_000_000, 800, 14)]),  # r1 = 0
+            ([(1_200_000, 640, 410)], [(45_000_000, 3200, 0)]),  # r0 = 0
+            (
+                [(300_000, 200, 61), (900_000, 100, 12)],
+                [(20_000_000, 1200, 7), (4_000_000, 400, 5)],
+            ),
+            # Strata with nothing relevant sampled, and a census stratum.
+            (
+                [(300_000, 50, 1), (500_000, 40, 0)],
+                [(2_000_000, 100, 0), (3_000_000, 100, 0), (7, 7, 2)],
+            ),
+        ],
+    )
+    def test_lattice_within_monte_carlo_reference(self, segments):
+        """Each unforced bound leaves the share of 10^7 posterior draws at or
+        below it within 5 sigma of its tail probability."""
         problem = RecallProblem(
-            SegmentData((StratumCounts(500_000, 1, 1), StratumCounts(300_000, 40, 12)), "retrieved"),
-            SegmentData.simple("unretrieved", 9_000_000, 200, 7),
+            SegmentData(tuple(StratumCounts(*s) for s in segments[0]), "retrieved"),
+            SegmentData(tuple(StratumCounts(*s) for s in segments[1]), "unretrieved"),
         )
-        seen = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            warnings.showwarning = lambda message, category, *rest: seen.append(
-                (category, str(message), threading.current_thread())
-            )
+        r1, r0 = (sum(s[2] for s in seg) for seg in segments)
+        sigma = math.sqrt(0.025 * 0.975 / 10**7)
+        stratified = len(segments[0]) > 1
+        for method in ("beta-jeffreys", "betabin-half") if stratified else POSTERIOR_METHODS:
+            iv = compute_interval(method, problem, 0.95, mc_config(3, 1000))
+            for bound, prob, forced in ((iv.lower, 0.025, r1 == 0), (iv.upper, 0.975, r0 == 0)):
+                if forced:
+                    continue
+                share = reference_mass_below(method, problem, bound)
+                assert abs(share - prob) <= 5.0 * sigma, (method, bound, share)
+
+    @pytest.mark.parametrize("method", POSTERIOR_METHODS)
+    def test_lattice_batch_equals_each_sample_alone(self, method):
+        design = (800_000, 320, 6_000_000, 1600)
+        pairs = design_pairs(design, np.random.default_rng(8))
+        lower, upper = interval_bounds(method, batch_of(design, pairs), 0.95, mc_config(1, 1000))
+        for k, pair in enumerate(pairs):
+            alone = interval_bounds(method, batch_of(design, [pair]), 0.95, mc_config(1, 1000))
+            assert (lower[k], upper[k]) == (alone[0][0], alone[1][0]), pair
+
+    @pytest.mark.parametrize("method", POSTERIOR_METHODS)
+    def test_bounds_independent_of_seed_and_draws(self, method):
+        design = (800_000, 320, 6_000_000, 1600)
+        batch = batch_of(design, design_pairs(design, np.random.default_rng(9)))
+        first = interval_bounds(method, batch, 0.95, mc_config(1, 1000))
+        second = interval_bounds(method, batch, 0.95, mc_config(987, 250_000))
+        assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
+
+    def test_few_atoms_take_exact_bounds(self, monkeypatch):
+        def no_lattice(*args, **kwargs):
+            raise AssertionError("lattice ran")
+
+        problem = RecallProblem.simple(2600, 400, 90, 5000, 300, 40)
+        batch = CountBatch.of_problem(problem)
+        monkeypatch.setattr(intervals, "_lattice_quantiles", no_lattice)
+        for method in BETABIN_METHODS:
+            assert not lattice_answers(batch, prior_of(method))
+            iv = compute_interval(method, problem, 0.95, mc_config(11, 4000))
+            (lower,), (upper,) = betabin_exact_bounds(batch, 0.95, prior_of(method))
+            assert (iv.lower, iv.upper) == (lower, upper)
+
+    def test_many_atoms_take_lattice_bounds(self, monkeypatch):
+        def no_exact(*args, **kwargs):
+            raise AssertionError("exact path ran")
+
+        problem = RecallProblem.simple(60_000, 400, 90, 300_000, 300, 40)
+        monkeypatch.setattr(intervals, "betabin_exact_bounds", no_exact)
+        for method in BETABIN_METHODS:
+            assert lattice_answers(CountBatch.of_problem(problem), prior_of(method))
+            iv = compute_interval(method, problem, 0.95, mc_config(11, 4000))
+            assert 0.0 < iv.lower < iv.point < iv.upper < 1.0
+        # Beta posteriors are continuous: always the lattice, at any size.
+        small = RecallProblem.simple(50, 10, 3, 80, 20, 4)
+        iv = compute_interval("beta-jeffreys", small, 0.95, mc_config(11, 4000))
+        assert 0.0 < iv.lower < iv.point < iv.upper < 1.0
+
+    def test_prior_warnings_and_errors_reach_the_caller(self):
+        strata = (StratumCounts(500_000, 1, 1), StratumCounts(300_000, 40, 12))
+        problem = RecallProblem(
+            SegmentData(strata, "retrieved"), SegmentData.simple("unretrieved", 9_000_000, 200, 7)
+        )
+        with pytest.warns(RuntimeWarning, match="single-draw"):
             compute_interval("betabin-mcp", problem, 0.95, mc_config(3, draws=2000))
-        assert [(c, t) for c, m, t in seen if "single-draw" in m] == [
-            (RuntimeWarning, threading.current_thread())
-        ]
         # The most conservative prior rejects a stratum with no sample.
         empty = RecallProblem(
-            SegmentData((StratumCounts(500_000, 0, 0), StratumCounts(300_000, 40, 12)), "retrieved"),
+            SegmentData((StratumCounts(500_000, 0, 0), strata[1]), "retrieved"),
             SegmentData.simple("unretrieved", 9_000_000, 200, 7),
         )
         with pytest.raises(ValueError, match="sample must lie"):
             compute_interval("betabin-mcp", empty, 0.95, mc_config(3, draws=2000))
+
+    def test_census_segments(self):
+        # A census stratum is a point mass; a census on both sides, a point.
+        both = RecallProblem.simple(40, 40, 18, 60, 60, 2)
+        one = RecallProblem.simple(40, 40, 18, 600_000, 300, 2)
+        for method in POSTERIOR_METHODS:
+            iv = compute_interval(method, both, 0.95, mc_config(1, 1000))
+            assert iv.lower == iv.upper == pytest.approx(18 / 20)
+            iv = compute_interval(method, one, 0.95, mc_config(1, 1000))
+            assert 0.0 < iv.lower < iv.upper < 1.0
+
+
+@pytest.mark.parametrize("design", [(5000, 100, 200_000, 300), (800, 60, 20_000, 40)])
+def test_bounds_monotone_in_relevant_counts(design):
+    """Lower and upper bounds never fall as r1 grows or rise as r0 grows."""
+    pairs = [(r1, r0) for r1 in range(61) for r0 in range(31)]
+    batch = batch_of(design, pairs)
+    kernels = {
+        "exact": betabin_exact_bounds(batch, 0.95, PriorSpec(0.5, 0.5)),
+        "koopman": koopman_bounds(batch, 0.95),
+    }
+    # Nearly every pair of these designs takes lattice bounds.
+    for method in POSTERIOR_METHODS:
+        kernels[method] = interval_bounds(method, batch, 0.95, mc_config(1, 1000))
+    for name, (lower, upper) in kernels.items():
+        for bound in (lower.reshape(61, 31), upper.reshape(61, 31)):
+            assert np.all(np.diff(bound, axis=0) >= 0.0), name
+            assert np.all(np.diff(bound, axis=1) <= 0.0), name
