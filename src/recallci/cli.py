@@ -227,14 +227,9 @@ def _cmd_interval(args) -> int:
         ]
         problem = parse_problem_rows(rows, source="<command line>")
     records = []
+    mc = MonteCarloConfig(rng=RandomStream(args.seed), draws=args.draws) if needs_seed else None
     for method in methods:
-        if method in MONTE_CARLO_METHODS:
-            config = MonteCarloConfig(
-                rng=RandomStream(args.seed, stream_id=METHODS.index(method)),
-                draws=args.draws,
-            )
-        else:
-            config = None
+        config = mc if method in MONTE_CARLO_METHODS else None
         interval = compute_interval(method, problem, args.level, config)
         records.append(interval_record(interval, config))
     _write_or_print(dump_records(records), args.output)

@@ -47,7 +47,6 @@ __all__ = [
 
 _NS_REALIZATION = 0
 _NS_SAMPLE = 1
-_NS_POSTERIOR = 2
 
 
 @dataclass(frozen=True)
@@ -258,11 +257,10 @@ def _evaluate_realization(
     batch = _count_batch(truth, design, pairs[defined_pairs])
     true_rec = truth.recall
 
+    # No bound reads a stream: the config carries the draw count alone.
+    mc = MonteCarloConfig(base, config.mc_draws)
     out: dict[str, tuple[float, float, float, float, float]] = {}
     for method in config.methods:
-        mc = MonteCarloConfig(
-            base.substream(_NS_POSTERIOR, index, METHODS.index(method)), config.mc_draws
-        )
         lower, upper = interval_bounds(method, batch, config.level, mc)
         above_mask = true_rec > upper
         above = int(weights[above_mask].sum())

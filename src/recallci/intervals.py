@@ -29,12 +29,12 @@ sampled relevant documents, raises ``UndefinedEstimateError`` for it; the
 other eight methods return [0, 1] with no point estimate, without
 tabulating a posterior and without resolving a prior.
 
-The four posterior methods are deterministic: their quantiles come from the
-posterior of recall tabulated on a lattice of log-yields, or, for
-beta-binomial posteriors with few atoms, from its exact enumeration
-(``betabin_exact_bounds``).  They still take a ``MonteCarloConfig``, whose
-draw count and seed change no bound; ``monte_carlo_interval`` is the Monte
-Carlo reference estimator.
+All nine methods are deterministic.  ``koopman`` takes each bound from the
+root of one cubic, polished by bracketed Newton steps.  The four posterior
+methods take quantiles of the posterior of recall tabulated on a lattice of
+log-yields, or, for beta-binomial posteriors with few atoms, of its exact
+enumeration (``betabin_exact_bounds``); their ``MonteCarloConfig`` changes no
+bound, and ``monte_carlo_interval`` is the Monte Carlo reference estimator.
 
 Every method is one entry of ``METHOD_TABLE``, a batch kernel over the
 relevant counts of many samples (``CountBatch``).  ``interval_bounds`` runs
@@ -310,77 +310,59 @@ def normal_bounds(
 
 # ---------------------------------------------------------------------------
 # Koopman chi-square interval on the ratio of two binomial proportions.
+#
+# x of m numerator-group and y of n denominator-group draws are relevant; the
+# test of phi = p_num / p_den is Pearson's chi-square at the constrained ML
+# rates (phi t, t).  Along that curve, with u = y/n - t, w = 1 - y/n,
+# P = (x + n) u + x w and Q = (m + n) x u + m x w + y (m - x), the largest
+# accepted phi is P / (t ((m + n) u + m w)) at the root in (0, y/n) of
+# G(u) = c t (1 - t) - (n / m) u^2 Q / P, c the chi-square quantile: the cubic
+# (y - nt)^2 ((m + n) x t - m (x + y)) - c m n t (1 - t) ((x + n) t - (x + y))
+# over n m P, which drops its root t = y/n at x = 0 and, P and Q being sums of
+# like-signed parts, cancels nothing.  The smallest accepted phi is one over
+# the largest with the groups swapped.  At y = n, t is 1 up to
+# phi* = (x + n) / (m + n), where the statistic is Wilson's for x / m, and
+# phi* / phi beyond, where it is chi* + n (phi / phi* - 1).
 # ---------------------------------------------------------------------------
 
-
-def _chi_term(obs, size, rate):
-    # Rates lie in [0, 1], so a zero denominator under a nonzero numerator
-    # gives the infinite term.
-    num = np.float_power(obs - size * rate, 2.0)
-    return np.where(num == 0.0, 0.0, num / (size * rate * (1.0 - rate)))
+_NEWTON_TOL = 2.0**-32  # Newton steps stop once one moves u by at most this share of u
+_NEWTON_STEPS = 64  # binds only once bisection has shrunk a bracket to an ulp
 
 
-def _koopman_statistic(phi, x, m, y, n):
-    """Goodness-of-fit chi-square for the ratio hypothesis p_num/p_den = phi.
+def _quadratic_root(a, b, c):
+    """Nonnegative root of a u^2 - b u - c for a > 0 and c >= 0."""
+    r = np.sqrt(b * b + 4.0 * a * c)
+    return np.where(b > 0.0, (b + r) / (2.0 * a), 2.0 * c / (r - b))
 
-    (x, m) is the numerator-group sample, (y, n) the denominator group.  Under
-    the constraint p_num = phi * p_den the ML denominator-group rate solves
-    phi (m + n) t^2 - [x + n + phi (m + y)] t + (x + y) = 0 (smaller root).
-    Arguments broadcast; the result is one statistic per element.
-    """
+
+def _largest_ratio(x, m, y, n, crit: float) -> np.ndarray:
+    """Largest phi the Koopman test accepts, for float arrays x, m, y > 0 and n;
+    each element steps and stops on its own, whatever else the arrays hold."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = phi * (m + n)
-        b = x + n + phi * (m + y)
-        disc = np.maximum(b * b - 4.0 * a * (x + y), 0.0)
-        t = np.minimum(np.maximum((b - np.sqrt(disc)) / (2.0 * a), 0.0), 1.0)
-        return _chi_term(x, m, np.minimum(phi * t, 1.0)) + _chi_term(y, n, t)
-
-
-_BISECT_TOL = 1e-8
-_PHI_CAP = 1e30
-_PHI_FLOOR = 1e-300
-
-
-def _double_while(accepted, phi: np.ndarray, while_accepted: np.ndarray) -> np.ndarray:
-    """Double each phi while ``accepted(phi)`` equals its flag, up to the cap."""
-    active = np.ones(phi.shape, dtype=bool)
-    while active.any():
-        go = active & (accepted(phi) == while_accepted)
-        phi = np.where(go, 2.0 * phi, phi)
-        active = go & ~(phi > _PHI_CAP)
-    return phi
-
-
-def _halve_while_accepted(accepted, phi: np.ndarray) -> np.ndarray:
-    """Halve each positive phi while accepted; below the floor it becomes 0."""
-    active = phi > 0.0
-    while active.any():
-        go = active & accepted(phi)
-        phi = np.where(go, phi / 2.0, phi)
-        floor = go & (phi < _PHI_FLOOR)
-        phi = np.where(floor, 0.0, phi)
-        active = go & ~floor
-    return phi
-
-
-def _bisect_cross(accepted, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
-    """Boundary of each {phi: accepted(phi)} between an inside and outside point.
-
-    Every element stops on its own width test, so each boundary is the one
-    bisecting that element alone would give.
-    """
-    lo, hi = inside, outside
-    for _ in range(500):
-        done = np.abs(hi - lo) <= _BISECT_TOL * np.maximum(
-            np.maximum(np.abs(hi), np.abs(lo)), 1.0
+        star, chi_star = (x + n) / (m + n), n * n * (m - x) / (m * (x + n))
+        wilson = (x + crit / 2.0 + np.sqrt(crit * (x * (m - x) / m + crit / 4.0))) / (m + crit)
+        full = np.where(chi_star >= crit, wilson, star * (n + crit - chi_star) / n)
+        p, w, k = y / n, (n - y) / n, n / m
+        p0, q0, slope, gamma = x * w, m * x * w + y * (m - x), (m + n) * x, crit * p * w
+        # Q / P peaks at q0 / p0 (u = 0) and u / P < 1 / (x + n): freezing either
+        # overstates G's second term, so both quadratics' roots lie at or below G's.
+        u = np.fmax(
+            _quadratic_root(crit + k * q0 / p0, crit * (p - w), gamma),
+            _quadratic_root(crit + k * slope / (x + n), crit * (p - w) - k * q0 / (x + n), gamma),
         )
-        if done.all():
-            break
-        mid = 0.5 * (lo + hi)
-        ok = accepted(mid)
-        lo = np.where(~done & ok, mid, lo)
-        hi = np.where(~done & ~ok, mid, hi)
-    return 0.5 * (lo + hi)
+        lo, hi, live = np.zeros(u.shape), p, y < n
+        for _ in range(_NEWTON_STEPS):
+            if not live.any():
+                break
+            t, s, pu, qu = p - u, w + u, (x + n) * u + p0, slope * u + q0
+            g = crit * t * s - k * u * u * qu / pu
+            dg = crit * (t - s) - k * u * ((2.0 * qu + slope * u) * pu - u * qu * (x + n)) / pu**2
+            lo, hi = np.where(g > 0.0, u, lo), np.where(g < 0.0, u, hi)
+            step = g / dg
+            inside = (u - step >= lo) & (u - step <= hi)
+            u = np.where(live, np.where(inside, u - step, 0.5 * (lo + hi)), u)
+            live &= ~(inside & (np.abs(step) <= _NEWTON_TOL * u))
+        return np.where(y == n, full, ((x + n) * u + p0) / ((p - u) * ((m + n) * u + m * w)))
 
 
 def koopman_bounds(batch: CountBatch, level: float) -> tuple[np.ndarray, np.ndarray]:
@@ -400,49 +382,21 @@ def koopman_bounds(batch: CountBatch, level: float) -> tuple[np.ndarray, np.ndar
     if n < 1 or m < 1:
         raise ValueError("koopman interval requires at least one draw per segment")
     (y,), (x,) = batch.relevant
-    # Counts as floats: exact below 2**53, and much cheaper to mix with phi.
     x, y = x.astype(float), y.astype(float)
     scale = unret_population / ret_population
-    crit = chi_square_1df_quantile(level)
-
-    def acceptance(idx: np.ndarray):
-        xs, ys = x[idx], y[idx]
-        ms, ns = np.full(len(idx), float(m)), np.full(len(idx), float(n))
-        return lambda phi: _koopman_statistic(phi, xs, ms, ys, ns) <= crit
-
-    # The statistic is zero at the unconstrained ratio MLE and grows on both
-    # sides; the MLE is 0 when x = 0 and unbounded when y = 0, so those sides
-    # start the bracket from an accepted finite point instead.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi_hat = np.where(x == 0, 0.0, np.where(y == 0, np.inf, (x / m) / (y / n)))
-    up = np.flatnonzero(y > 0)  # finite upper phi bound (lower recall)
-    down = np.flatnonzero(x > 0)  # positive lower phi bound (upper recall)
-    unbounded = np.flatnonzero((y == 0) & (x > 0))
-
-    # Upper phi ends expand from max(2 phi_hat, 1) while accepted; pairs
-    # without an MLE walk from 1 to their first accepted point.
-    walk = np.concatenate([up, unbounded])
-    ends = _double_while(
-        acceptance(walk),
-        np.concatenate([np.maximum(2.0 * phi_hat[up], 1.0), np.ones(len(unbounded))]),
-        np.arange(len(walk)) < len(up),
+    # One root search for both ends: the upper phi end (lower recall) needs
+    # y > 0, the lower one, the upper end with the groups swapped, x > 0.
+    up, down = np.flatnonzero(y > 0), np.flatnonzero(x > 0)
+    counts = [len(up), len(down)]
+    phi = _largest_ratio(
+        np.concatenate([x[up], y[down]]), np.repeat([float(m), float(n)], counts),
+        np.concatenate([y[up], x[down]]), np.repeat([float(n), float(m)], counts),
+        chi_square_1df_quantile(level),
     )
-    inside_down = phi_hat.copy()
-    inside_down[unbounded] = ends[len(up):]
-    inside_down = inside_down[down]
-    lows = _halve_while_accepted(acceptance(down), inside_down / 2.0)
-
-    cross = _bisect_cross(
-        acceptance(np.concatenate([up, down])),
-        np.concatenate([phi_hat[up], inside_down]),
-        np.concatenate([ends[: len(up)], lows]),
-    )
-    lower = np.zeros(len(x))
-    upper = np.ones(len(x))
-    lower[up] = 1.0 / (1.0 + scale * cross[: len(up)])
-    upper[down] = 1.0 / (1.0 + scale * cross[len(up):])
-    lower = np.minimum(np.maximum(lower, 0.0), 1.0)
-    return lower, np.minimum(np.maximum(upper, lower), 1.0)
+    lower, upper = np.zeros(len(x)), np.ones(len(x))
+    lower[up] = 1.0 / (1.0 + scale * phi[: len(up)])
+    upper[down] = phi[len(up):] / (phi[len(up):] + scale)
+    return lower, np.maximum(upper, lower)
 
 
 def koopman_interval(problem: RecallProblem, level: float) -> RecallInterval:
@@ -1267,11 +1221,14 @@ def _segment_log_yields(strata, vector, family: str, prior: PriorLike) -> _LogYi
             centre, zero = centre + r, zero * (r == 0)
             continue
         window = _stratum_window(population, sample, r, family, prior)
-        a, b, lo, _ = window
-        zero *= float(_betabin_pmf(remainder, a, b, 0.0)) if discrete and r == lo == 0 else 0.0
         edges = _block_edges(remainder, r, window, family, per_sd, most)
         width = np.diff(edges)
         part = _stratum_masses(remainder, window, family, edges)
+        if discrete:
+            # Gauss-Legendre blocks may miss ~1e-7 of the mass, a false tail that would put
+            # bounds near level 1 at 0 or 1.  A window from 0 starts with the count 0.
+            part = part / np.sum(part)
+        zero *= part[0] if discrete and r == window[2] == 0 else 0.0
         centre = (centre[:, None] + (r + edges[:-1] + (width - discrete) / 2.0)).ravel()
         mass = (mass[:, None] * part).ravel()
         spread = (spread[:, None] + (width**2 - discrete) / 12.0).ravel()

@@ -7,6 +7,9 @@ here.  A change that is meant to move published numbers regenerates the file
 with::
 
     PYTHONPATH=src python3 tests/test_coverage_golden.py
+
+which prints, before it writes, each (scenario, field, method) whose values
+moved, with their number and the largest change, or ``unchanged``.
 """
 
 import json
@@ -60,10 +63,37 @@ def test_reports_are_bit_identical_to_golden(golden, scenario):
             )
 
 
+def moved_values(old: dict, new: dict) -> list[str]:
+    """One line per (scenario, field, method) whose values differ, or ``unchanged``."""
+    lines = []
+    for scenario, fields in new["reports"].items():
+        for field, methods in fields.items():
+            for method, values in methods.items():
+                now = np.array(values, dtype=float)
+                try:
+                    was = np.array(old["reports"][scenario][field][method], dtype=float)
+                except KeyError:
+                    lines.append(f"{scenario} {field} {method}: {len(now)} new values")
+                    continue
+                if was.shape != now.shape:
+                    lines.append(f"{scenario} {field} {method}: {len(was)} -> {len(now)} values")
+                    continue
+                moved = ~((was == now) | (np.isnan(was) & np.isnan(now)))
+                if moved.any():
+                    delta = np.max(np.abs(now[moved] - was[moved]))
+                    lines.append(
+                        f"{scenario} {field} {method}: {moved.sum()} values moved, "
+                        f"largest |delta| {delta:.3g}"
+                    )
+    return lines or ["unchanged"]
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     payload = {
         "config": CONFIG,
         "reports": {s: report_fields(run_study(s)) for s in BUILTIN_SCENARIOS},
     }
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    print("\n".join(moved_values(previous, payload)))
     GOLDEN.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from recallci.intervals import (
     MonteCarloConfig,
     PriorSpec,
     RecallInterval,
-    _koopman_statistic,
     betabin_exact_bounds,
     compute_interval,
     equal_tail_quantiles,
@@ -138,7 +138,127 @@ class TestNormalIntervals:
             mid_half(AUDIT_PROBLEM, 3)
 
 
+def _chi_term(obs, size, rate):
+    # Rates lie in [0, 1], so a zero denominator under a nonzero numerator
+    # gives the infinite term.
+    num = np.float_power(obs - size * rate, 2.0)
+    return np.where(num == 0.0, 0.0, num / (size * rate * (1.0 - rate)))
+
+
+def _koopman_statistic(phi, x, m, y, n):
+    """Goodness-of-fit chi-square for the ratio hypothesis p_num/p_den = phi.
+
+    (x, m) is the numerator-group sample, (y, n) the denominator group.  Under
+    the constraint p_num = phi * p_den the ML denominator-group rate solves
+    phi (m + n) t^2 - [x + n + phi (m + y)] t + (x + y) = 0 (smaller root).
+    Arguments broadcast; the result is one statistic per element.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = phi * (m + n)
+        b = x + n + phi * (m + y)
+        disc = np.maximum(b * b - 4.0 * a * (x + y), 0.0)
+        t = np.minimum(np.maximum((b - np.sqrt(disc)) / (2.0 * a), 0.0), 1.0)
+        return _chi_term(x, m, np.minimum(phi * t, 1.0)) + _chi_term(y, n, t)
+
+
+def decimal_koopman_bounds(n_ret, n, y, n_unret, m, x, crit):
+    """Koopman recall bounds by bisecting the statistic at 50 digits (test oracle).
+
+    The statistic is the one ``_koopman_statistic`` codes: the smaller
+    constrained root clipped to [0, 1], the numerator rate capped at 1 and a
+    0/0 term counting 0.  Each end of the accepted set of phi is walked to by
+    doubling or halving from an accepted point and then bisected 64 times.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x, m, y, n, crit = (Decimal(v) for v in (x, m, y, n, crit))
+        one, zero = Decimal(1), Decimal(0)
+
+        def term(obs, size, rate):
+            num = (obs - size * rate) ** 2
+            if num == 0:
+                return zero
+            den = size * rate * (one - rate)
+            return None if den == 0 else num / den
+
+        def accepted(phi):
+            b = x + n + phi * (m + y)
+            disc = max(b * b - 4 * phi * (m + n) * (x + y), zero)
+            t = min(max(2 * (x + y) / (b + disc.sqrt()), zero), one)  # the smaller root
+            terms = (term(x, m, min(phi * t, one)), term(y, n, t))
+            return None not in terms and sum(terms) <= crit
+
+        def edge(inside, factor):
+            outside = inside * factor
+            while accepted(outside):
+                inside, outside = outside, outside * factor
+            for _ in range(64):
+                mid = (inside + outside) / 2
+                inside, outside = (mid, outside) if accepted(mid) else (inside, mid)
+            return (inside + outside) / 2
+
+        if x > 0 and y > 0:
+            inside = (x / m) / (y / n)
+        elif x == 0:
+            inside = Decimal("1e-40")
+        else:
+            inside = one
+            while not accepted(inside):
+                inside *= 2
+        scale = Decimal(n_unret) / Decimal(n_ret)
+        lower = float(one / (one + scale * edge(inside, Decimal(2)))) if y > 0 else 0.0
+        upper = float(one / (one + scale * edge(inside, Decimal("0.5")))) if x > 0 else 1.0
+        return lower, upper
+
+
+def koopman_oracle_problems(count, seed):
+    """Single-stratum problems: samples 1-20,000, N0/N1 1e-3-1e5, populations to 1e9.
+
+    Each relevant count is 0, 1, uniform, one short of the sample or the
+    whole sample; the first problem has both samples all relevant.
+    """
+    gen = np.random.default_rng(seed)
+    out = [(1000, 50, 50, 4000, 70, 70)]
+    while len(out) < count:
+        n, m = np.exp(gen.uniform(0.0, np.log(20_000), 2)).astype(int)
+        scale = math.exp(gen.uniform(math.log(1e-3), math.log(1e5)))
+        low, high = max(n, m / scale), min(1e9, 1e9 / scale)
+        if low > high:
+            continue
+        n_ret = int(math.exp(gen.uniform(math.log(low), math.log(high))))
+        n_unret = max(int(m), round(n_ret * scale))
+        if n_ret < n or n_unret > 1e9:
+            continue
+        y, x = ([0, 1, int(gen.integers(0, k + 1)), k - 1, k][gen.integers(5)] for k in (n, m))
+        if x or y:
+            out.append((n_ret, int(n), int(y), n_unret, int(m), int(x)))
+    return out
+
+
 class TestKoopman:
+    @pytest.mark.parametrize(
+        "level,tol", [(0.5, 1e-8), (0.95, 1e-8), (0.999, 1e-8), (1e-6, 1e-6), (1 - 1e-12, 1e-6)]
+    )
+    def test_matches_high_precision_inversion(self, level, tol):
+        crit = chi_square_1df_quantile(level)
+        for problem in koopman_oracle_problems(500, 71):
+            n_ret, n, y, n_unret, m, x = problem
+            (lower,), (upper,) = koopman_bounds(
+                CountBatch.simple(n_ret, n, [y], n_unret, m, [x]), level
+            )
+            ref = decimal_koopman_bounds(*problem, crit)
+            assert abs(lower - ref[0]) <= tol and abs(upper - ref[1]) <= tol, (problem, ref)
+
+    def test_bracket_recovers_from_a_poor_start(self, monkeypatch):
+        # Started at u = 0 instead of the quadratic guesses, Newton steps leave
+        # the bracket and bisection takes over until they land inside it.
+        design = (2000, 100, 100000, 100)
+        batch = batch_of(design, design_pairs(design, np.random.default_rng(4)))
+        expected = koopman_bounds(batch, 0.95)
+        monkeypatch.setattr(intervals, "_quadratic_root", lambda a, b, c: np.zeros(np.shape(a)))
+        for got, want in zip(koopman_bounds(batch, 0.95), expected):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
     def test_statistic_zero_at_unconstrained_mle(self):
         gen = np.random.default_rng(55)
         for _ in range(40):
@@ -481,40 +601,6 @@ class TestBatchKernels:
         for k in range(30):
             alone = CountBatch(strata, tuple(tuple(r[k:k + 1] for r in seg) for seg in relevant))
             assert (lower[k], upper[k]) == tuple(b[0] for b in interval_bounds(method, alone, 0.95))
-
-    @pytest.mark.parametrize("crit", (math.inf, -1.0))
-    def test_koopman_bracket_caps_batch_independent(self, monkeypatch, crit):
-        # Every ratio accepted drives the upper end past 1e30 and the lower end
-        # below 1e-300; none accepted drives the accepted-point walk to 1e30.
-        monkeypatch.setattr(intervals, "chi_square_1df_quantile", lambda level: crit)
-        design = (2000, 100, 100000, 100)
-        pairs = design_pairs(design, np.random.default_rng(3))
-        lower, upper = koopman_bounds(batch_of(design, pairs), 0.95)
-        for k, pair in enumerate(pairs):
-            alone = koopman_bounds(batch_of(design, [pair]), 0.95)
-            assert (lower[k], upper[k]) == (alone[0][0], alone[1][0]), pair
-        r1, r0 = np.array(pairs).T
-        if crit > 0:
-            # phi from past 1e30 down to the bisection width above 0
-            assert np.all(lower[r1 > 0] < 1e-25)
-            assert np.all(upper[r0 > 0] > 1.0 - 1e-6)
-        else:
-            assert np.all(upper[(r1 == 0) & (r0 > 0)] < 1e-25)
-
-    def test_walks_stop_at_the_caps(self):
-        always = lambda phi: np.ones(phi.shape, dtype=bool)  # noqa: E731
-        start = np.array([1.0, 3.0, 1e31])
-        ends = intervals._double_while(always, start, np.ones(3, dtype=bool))
-        for begin, end in zip(start, ends):
-            phi = begin
-            while True:
-                phi *= 2.0
-                if phi > 1e30:
-                    break
-            assert end == phi
-        assert np.array_equal(
-            intervals._halve_while_accepted(always, np.array([1.0, 1e-299, 0.0])), np.zeros(3)
-        )
 
     def test_empty_batch(self):
         for method in CLOSED_FORM_METHODS:
@@ -1006,6 +1092,21 @@ class TestLattice:
             assert iv.lower == iv.upper == pytest.approx(18 / 20)
             iv = compute_interval(method, one, 0.95, mc_config(1, 1000))
             assert 0.0 < iv.lower < iv.upper < 1.0
+
+    @pytest.mark.parametrize("method", POSTERIOR_METHODS)
+    def test_widths_grow_up_to_levels_near_one(self, method):
+        # Block masses that sum short of 1 would read as an upper tail past
+        # every node and send the upper bound to 1 near level 1; with a
+        # censused retrieved segment recall cannot exceed 30 / 35.
+        census = RecallProblem.simple(100, 100, 30, 100000, 200, 5)
+        for problem in (AUDIT_PROBLEM, census):
+            widths = []
+            for k in range(3, 13):
+                iv = compute_interval(method, problem, 1.0 - 10.0**-k, mc_config(1, 1000))
+                widths.append(iv.width)
+                if problem is census:
+                    assert iv.upper <= 30 / 35, (k, iv)
+            assert all(a <= b for a, b in zip(widths, widths[1:])), widths
 
 
 @pytest.mark.parametrize("design", [(5000, 100, 200_000, 300), (800, 60, 20_000, 40)])
