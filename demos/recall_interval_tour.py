@@ -7,15 +7,11 @@ rates).  Methods disagree most where the unretrieved sample is sparse: the
 normal family understates the upper tail, while the posterior-based methods
 stretch it.
 
-Run:  python3 demos/recall_interval_tour.py [--seed 7]
+Run:  python3 demos/recall_interval_tour.py
 """
-
-import argparse
 
 from recallci import (
     METHODS,
-    MonteCarloConfig,
-    RandomStream,
     RecallProblem,
     SegmentData,
     StratumCounts,
@@ -24,15 +20,14 @@ from recallci import (
 )
 
 
-def show(problem: RecallProblem, seed: int, skip=()) -> None:
+def show(problem: RecallProblem, skip=()) -> None:
     print(f"  point estimate: {estimate_recall(problem):.4f}")
     print(f"  {'method':<16} {'lower':>8} {'upper':>8} {'width':>8}")
-    for index, method in enumerate(METHODS):
+    for method in METHODS:
         if method in skip:
             print(f"  {method:<16} {'-':>8} {'-':>8} {'-':>8}  (single stratum only)")
             continue
-        config = MonteCarloConfig(rng=RandomStream(seed, stream_id=index))
-        interval = compute_interval(method, problem, 0.95, config)
+        interval = compute_interval(method, problem, 0.95)
         print(
             f"  {method:<16} {interval.lower:>8.4f} {interval.upper:>8.4f} "
             f"{interval.width:>8.4f}"
@@ -40,14 +35,10 @@ def show(problem: RecallProblem, seed: int, skip=()) -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-
     simple = RecallProblem.simple(2_000, 100, 50, 100_000, 100, 3)
     print("simple audit: retrieved 2,000 (sampled 100, 50 relevant);")
     print("unretrieved 100,000 (sampled 100, 3 relevant)\n")
-    show(simple, args.seed)
+    show(simple)
 
     stratified = RecallProblem(
         SegmentData(
@@ -67,7 +58,7 @@ def main() -> None:
     )
     print("\nstratified audit: two strata per segment, uneven sampling rates,")
     print("no relevant documents found in the bottom stratum\n")
-    show(stratified, args.seed, skip=("koopman",))
+    show(stratified, skip=("koopman",))
 
     print("\nthe zero-count bottom stratum forces no bound here (other strata")
     print("found relevant documents), but it dominates the upper-tail width of")

@@ -19,7 +19,7 @@ Run:  python3 demos/sampling_design.py [--fast]
 import argparse
 import os
 
-from recallci import MonteCarloConfig, RandomStream, RealizationTruth
+from recallci import RandomStream, RealizationTruth
 from recallci.evaluation import design_width_curve, width_vs_sample_size
 
 
@@ -31,15 +31,14 @@ def effectiveness_truth(corpus: int, retrieved: int, recall: float, precision: f
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fast", action="store_true", help="smaller draws and samples")
+    parser.add_argument("--fast", action="store_true", help="fewer samples and sizes")
     parser.add_argument("--seed", type=int, default=5)
     parser.add_argument("--out-dir", default="demos/out")
     args = parser.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
 
-    draws = 4_000 if args.fast else 20_000
     samples = 40 if args.fast else 200
-    config = MonteCarloConfig(rng=RandomStream(args.seed), draws=draws)
+    rng = RandomStream(args.seed)
 
     corpus, retrieved, budget = 5_000_000, 500_000, 5_000
     fractions = (0.1, 0.2, 0.4, 0.6, 0.8)
@@ -51,7 +50,7 @@ def main() -> None:
         for precision in (0.25, 0.5, 0.75):
             truth = effectiveness_truth(corpus, retrieved, recall, precision)
             curve = design_width_curve(
-                truth, budget, allocations, "betabin-half", 0.95, config, samples
+                truth, budget, allocations, "betabin-half", 0.95, rng, samples
             )
             widths = [w for _, w in curve]
             rows.append((recall, precision, widths))
@@ -77,7 +76,7 @@ def main() -> None:
         sizes,
         ("betabin-half", "normal-mle"),
         0.95,
-        config,
+        rng,
         allocation_grid=10,
         samples=samples // 2 or 20,
     )

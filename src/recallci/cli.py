@@ -9,8 +9,11 @@ Subcommands:
 * ``design``    -- expected interval width across sample allocations
 * ``binom``     -- exact coverage curve of a binomial interval
 
-Every randomized subcommand requires an explicit ``--seed`` and echoes the
-seed and draw count into its outputs, so results can be reproduced exactly.
+Every randomized subcommand (``coverage``, ``scenario``, ``design``) requires
+an explicit ``--seed`` and echoes it into its outputs, so results can be
+reproduced exactly.  ``interval`` is deterministic; its optional ``--seed``
+and ``--draws`` change no bound and are echoed into the records of the
+posterior methods.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .core import (
 )
 from .evaluation import (
     EvalConfig,
+    _allocation_grid,
     design_width_curve,
     evaluate_coverage,
     format_summary_table,
@@ -73,9 +77,9 @@ def _level(text: str) -> float:
     return value
 
 
-def _int_tuple(text: str, arity: int, what: str) -> tuple[int, ...]:
+def _int_tuple(text: str, arity: int | None, what: str) -> tuple[int, ...]:
     parts = text.split(",")
-    if len(parts) != arity:
+    if arity is not None and len(parts) != arity:
         raise argparse.ArgumentTypeError(
             f"{what} must be {arity} comma-separated integers, got {text!r}"
         )
@@ -138,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--unretrieved", metavar="N,n,r", help="unretrieved segment counts")
     p_int.add_argument("--method", action="append", help="method tag(s), comma separable")
     p_int.add_argument("--level", type=_level, default=0.95)
-    p_int.add_argument("--seed", type=int, default=None)
-    p_int.add_argument("--draws", type=_positive_int, default=40_000)
+    p_int.add_argument("--seed", type=int, default=None, help="echoed; changes no bound")
+    p_int.add_argument("--draws", type=_positive_int, default=40_000, help="echoed with --seed")
     p_int.add_argument("--output", help="write JSON records here instead of stdout")
     p_int.set_defaults(func=_cmd_interval)
 
@@ -182,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_des.add_argument("--method", default="betabin-half")
     p_des.add_argument("--level", type=_level, default=0.95)
     p_des.add_argument("--seed", type=int, required=True)
-    p_des.add_argument("--draws", type=_positive_int, default=40_000)
     p_des.add_argument("--samples", type=_positive_int, default=200)
     p_des.add_argument("--output", help="write (n1,width) CSV here instead of stdout")
     p_des.set_defaults(func=_cmd_design)
@@ -208,12 +211,9 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 def _cmd_interval(args) -> int:
     methods = _parse_methods(args.method)
-    needs_seed = [m for m in methods if m in MONTE_CARLO_METHODS]
-    if needs_seed and args.seed is None:
-        raise SystemExit(
-            f"error: --seed is required for Monte Carlo methods ({', '.join(needs_seed)})"
-        )
     if args.input:
+        if args.unretrieved:
+            raise SystemExit("error: --unretrieved requires --retrieved, not --input")
         problem = load_problem_csv(args.input)
     else:
         if not args.unretrieved:
@@ -226,12 +226,14 @@ def _cmd_interval(args) -> int:
             ["unretrieved", "all", str(n0), str(s0), str(r0)],
         ]
         problem = parse_problem_rows(rows, source="<command line>")
+    # Only echoed into the posterior methods' records; no bound reads it.
+    echo = None
+    if args.seed is not None and any(m in MONTE_CARLO_METHODS for m in methods):
+        echo = MonteCarloConfig(rng=RandomStream(args.seed), draws=args.draws)
     records = []
-    mc = MonteCarloConfig(rng=RandomStream(args.seed), draws=args.draws) if needs_seed else None
     for method in methods:
-        config = mc if method in MONTE_CARLO_METHODS else None
-        interval = compute_interval(method, problem, args.level, config)
-        records.append(interval_record(interval, config))
+        interval = compute_interval(method, problem, args.level)
+        records.append(interval_record(interval, echo if method in MONTE_CARLO_METHODS else None))
     _write_or_print(dump_records(records), args.output)
     return 0
 
@@ -309,24 +311,16 @@ def _cmd_design(args) -> int:
             f"error: unknown method {args.method!r}; choose from {', '.join(METHODS)}"
         )
     if args.allocations:
-        allocations = [int(a) for a in args.allocations.split(",")]
+        allocations = list(_int_tuple(args.allocations, None, "--allocations"))
     else:
-        step = args.budget / (args.grid + 1)
-        allocations = sorted(
-            {
-                n1
-                for n1 in (int(round(step * (i + 1))) for i in range(args.grid))
-                if 1 <= n1 <= truth.retrieved_size
-                and 1 <= args.budget - n1 <= truth.unretrieved_size
-            }
-        )
-    config = MonteCarloConfig(rng=RandomStream(args.seed), draws=args.draws)
+        allocations = _allocation_grid(truth, args.budget, args.grid)
     curve = design_width_curve(
-        truth, args.budget, allocations, args.method, args.level, config, args.samples
+        truth, args.budget, allocations, args.method, args.level, RandomStream(args.seed),
+        args.samples,
     )
     lines = [
         f"# truth={args.truth} budget={args.budget} method={args.method} "
-        f"level={args.level} seed={args.seed} draws={args.draws} samples={args.samples}",
+        f"level={args.level} seed={args.seed} samples={args.samples}",
         "n1,width",
     ]
     lines += [f"{n1},{width!r}" for n1, width in curve]

@@ -27,7 +27,6 @@ from .intervals import (
     METHODS,
     NORMAL_ADJUSTMENTS,
     CountBatch,
-    MonteCarloConfig,
     interval_bounds,
     normal_mid_half,
 )
@@ -257,11 +256,9 @@ def _evaluate_realization(
     batch = _count_batch(truth, design, pairs[defined_pairs])
     true_rec = truth.recall
 
-    # No bound reads a stream: the config carries the draw count alone.
-    mc = MonteCarloConfig(base, config.mc_draws)
     out: dict[str, tuple[float, float, float, float, float]] = {}
     for method in config.methods:
-        lower, upper = interval_bounds(method, batch, config.level, mc)
+        lower, upper = interval_bounds(method, batch, config.level)
         above_mask = true_rec > upper
         above = int(weights[above_mask].sum())
         below = int(weights[~above_mask & (true_rec < lower)].sum())
@@ -348,7 +345,6 @@ def _mean_width(
     design: SampleDesign,
     method: str,
     level: float,
-    config: MonteCarloConfig,
     samples: int,
     stream: RandomStream,
 ) -> float:
@@ -359,7 +355,7 @@ def _mean_width(
     samples, 1/sqrt(n) decay for large ones).  A sample with no relevant
     document in either segment has no estimate and counts as width 1, the
     forced [0, 1], under every method.  The sample counts are drawn from
-    ``stream``, and no posterior bound depends on a stream.
+    ``stream``.
     """
     pairs, inverse = np.unique(
         _sample_counts(truth, design, samples, stream), axis=0, return_inverse=True
@@ -371,11 +367,25 @@ def _mean_width(
         _, half = normal_mid_half(batch, level, NORMAL_ADJUSTMENTS[method])
         widths[defined] = 2.0 * half
     else:
-        lower, upper = interval_bounds(
-            method, batch, level, MonteCarloConfig(stream, config.draws)
-        )
+        lower, upper = interval_bounds(method, batch, level)
         widths[defined] = upper - lower
     return float(np.mean(widths[inverse.reshape(-1)]))
+
+
+def _allocation_grid(truth: RealizationTruth, size: int, grid: int) -> list[int]:
+    """Feasible retrieved allocations n1 at ``grid`` evenly spaced fractions of ``size``.
+
+    An allocation is feasible when both segments get at least one sample and
+    no more than their sizes.
+    """
+    allocations = set()
+    for i in range(grid):
+        n1 = int(round(((i + 1) / (grid + 1)) * size))
+        if 1 <= n1 <= truth.retrieved_size and 1 <= size - n1 <= truth.unretrieved_size:
+            allocations.add(n1)
+    if not allocations:
+        raise ValueError(f"no feasible allocation of {size} samples for truth {truth}")
+    return sorted(allocations)
 
 
 def design_width_curve(
@@ -384,14 +394,15 @@ def design_width_curve(
     allocations: Sequence[int],
     method: str,
     level: float,
-    config: MonteCarloConfig,
+    rng: RandomStream,
     samples: int = 200,
 ) -> list[tuple[int, float]]:
     """Expected interval width for each way of splitting a sample budget.
 
     For each candidate retrieved-segment allocation n1, the remaining
     budget goes to the unretrieved segment and the expected width is the
-    mean over simulated samples from the known truth.
+    mean over simulated samples from the known truth, drawn from
+    ``rng.substream(n1)``.
     """
     curve = []
     for n1 in allocations:
@@ -402,9 +413,7 @@ def design_width_curve(
                 f"{truth.retrieved_size}/{truth.unretrieved_size}"
             )
         design = SampleDesign(n1, n0)
-        width = _mean_width(
-            truth, design, method, level, config, samples, config.rng.substream(n1)
-        )
+        width = _mean_width(truth, design, method, level, samples, rng.substream(n1))
         curve.append((n1, width))
     return curve
 
@@ -414,7 +423,7 @@ def width_vs_sample_size(
     sizes: Sequence[int],
     methods: Sequence[str],
     level: float,
-    config: MonteCarloConfig,
+    rng: RandomStream,
     allocation_grid: int = 20,
     samples: int = 100,
 ) -> list[WidthRow]:
@@ -422,40 +431,19 @@ def width_vs_sample_size(
 
     For each total sample size, a grid of allocations is searched and the
     smallest mean width reported, emulating an optimally allocated design.
+    The curve of truth ``t`` at size ``size`` draws from
+    ``rng.substream(t, size)``.
     """
     rows: list[WidthRow] = []
     for t_idx, truth in enumerate(truths):
         for size in sizes:
-            fractions = [(i + 1) / (allocation_grid + 1) for i in range(allocation_grid)]
-            allocations = []
-            for f in fractions:
-                n1 = int(round(f * size))
-                n0 = size - n1
-                if 1 <= n1 <= truth.retrieved_size and 1 <= n0 <= truth.unretrieved_size:
-                    allocations.append(n1)
-            allocations = sorted(set(allocations))
-            if not allocations:
-                raise ValueError(
-                    f"no feasible allocation of {size} samples for truth {truth}"
-                )
+            allocations = _allocation_grid(truth, size, allocation_grid)
             for method in methods:
-                best_n1, best_width = None, math.inf
-                for n1 in allocations:
-                    design = SampleDesign(n1, size - n1)
-                    width = _mean_width(
-                        truth,
-                        design,
-                        method,
-                        level,
-                        config,
-                        samples,
-                        config.rng.substream(t_idx, size, n1),
-                    )
-                    if width < best_width:
-                        best_n1, best_width = n1, width
-                rows.append(
-                    WidthRow(truth.retrieved_size, size, method, best_n1, best_width)
+                curve = design_width_curve(
+                    truth, size, allocations, method, level, rng.substream(t_idx, size), samples
                 )
+                best_n1, best_width = min(curve, key=lambda point: point[1])
+                rows.append(WidthRow(truth.retrieved_size, size, method, best_n1, best_width))
     return rows
 
 

@@ -33,8 +33,9 @@ All nine methods are deterministic.  ``koopman`` takes each bound from the
 root of one cubic, polished by bracketed Newton steps.  The four posterior
 methods take quantiles of the posterior of recall tabulated on a lattice of
 log-yields, or, for beta-binomial posteriors with few atoms, of its exact
-enumeration (``betabin_exact_bounds``); their ``MonteCarloConfig`` changes no
-bound, and ``monte_carlo_interval`` is the Monte Carlo reference estimator.
+enumeration (``betabin_exact_bounds``).  No interval takes a seed or a draw
+count; ``monte_carlo_interval``, which does, is the Monte Carlo reference
+estimator.
 
 Every method is one entry of ``METHOD_TABLE``, a batch kernel over the
 relevant counts of many samples (``CountBatch``).  ``interval_bounds`` runs
@@ -1332,7 +1333,6 @@ def posterior_bounds(
     level: float,
     family: str,
     prior: PriorLike,
-    config: MonteCarloConfig | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior quantile bounds on recall for every sample of a batch.
 
@@ -1340,12 +1340,8 @@ def posterior_bounds(
     for beta-binomial pairs whose two posterior yield sds multiply to less
     than ``_LATTICE_ATOMS_MIN`` and are at most ``_EXACT_SD_MAX``, which
     take exact quantiles (``betabin_exact_bounds``).  Forcing rules as for
-    ``monte_carlo_bounds``.  A config is required although no bound
-    depends on it, so whether a call needs a seed does not depend on the
-    counts.
+    ``monte_carlo_bounds``.
     """
-    if config is None:
-        raise ValueError("monte carlo interval estimation requires a MonteCarloConfig")
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly inside (0, 1)")
     if family not in (BETA_JEFFREYS, BETA_BINOMIAL):
@@ -1394,12 +1390,7 @@ def posterior_bounds(
 
 
 class MethodSpec(NamedTuple):
-    """An interval method: ``kernel(batch, level, *params)`` gives its bounds.
-
-    Posterior methods have ``posterior_bounds`` as kernel, (family, prior) as
-    params, and take a ``MonteCarloConfig`` after them, which changes no
-    bound.
-    """
+    """An interval method: ``kernel(batch, level, *params)`` gives its bounds."""
 
     kernel: Callable[..., tuple[np.ndarray, np.ndarray]]
     params: tuple = ()
@@ -1423,7 +1414,7 @@ METHODS = tuple(METHOD_TABLE)
 MONTE_CARLO_METHODS = frozenset(
     tag for tag, spec in METHOD_TABLE.items() if spec.kernel is posterior_bounds
 )
-"""Methods that need a ``MonteCarloConfig``."""
+"""Methods whose bounds are posterior quantiles (``posterior_bounds``)."""
 
 NORMAL_ADJUSTMENTS = {
     tag: spec.params[0] for tag, spec in METHOD_TABLE.items() if spec.kernel is normal_bounds
@@ -1432,17 +1423,12 @@ NORMAL_ADJUSTMENTS = {
 
 
 def interval_bounds(
-    method: str,
-    batch: CountBatch,
-    level: float,
-    config: MonteCarloConfig | None = None,
+    method: str, batch: CountBatch, level: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds of any of the nine methods for every sample."""
     if method not in METHOD_TABLE:
         raise ValueError(f"unknown interval method: {method!r}")
     kernel, params = METHOD_TABLE[method]
-    if method in MONTE_CARLO_METHODS:
-        return kernel(batch, level, *params, config)
     return kernel(batch, level, *params)
 
 
@@ -1452,6 +1438,9 @@ def compute_interval(
     level: float,
     config: MonteCarloConfig | None = None,
 ) -> RecallInterval:
-    """Any of the nine interval methods on one problem, by tag."""
-    (lower,), (upper,) = interval_bounds(method, CountBatch.of_problem(problem), level, config)
+    """Any of the nine interval methods on one problem, by tag.
+
+    ``config`` is ignored: no method reads a seed or a draw count.
+    """
+    (lower,), (upper,) = interval_bounds(method, CountBatch.of_problem(problem), level)
     return RecallInterval(float(lower), float(upper), level, _point_or_none(problem), method)

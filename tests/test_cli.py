@@ -5,7 +5,7 @@ import json
 import pytest
 
 from recallci.cli import main
-from recallci.intervals import MONTE_CARLO_METHODS
+from recallci.intervals import METHODS, MONTE_CARLO_METHODS
 
 PROBLEM_CSV = """segment,stratum,population,sample,relevant
 retrieved,all,2000,100,50
@@ -88,9 +88,34 @@ class TestInterval:
         assert rc != 0
         assert "stratified" in capsys.readouterr().err
 
-    def test_mc_method_requires_seed(self, problem_file):
-        with pytest.raises(SystemExit):
-            main(["interval", "--input", problem_file, "--method", "betabin-half"])
+    @pytest.mark.parametrize(
+        "csv_text, methods",
+        [
+            (PROBLEM_CSV, list(METHODS)),
+            (STRATIFIED_CSV, [m for m in METHODS if m != "koopman"]),
+        ],
+        ids=["single-stratum", "stratified"],
+    )
+    def test_posterior_methods_need_no_seed(self, tmp_path, capsys, csv_text, methods):
+        # Bounds are the same bits without a seed and at any seed and draw count.
+        path = tmp_path / "problem.csv"
+        path.write_text(csv_text)
+        base = ["interval", "--input", str(path), "--method", ",".join(methods)]
+        runs = []
+        for extra in ([], ["--seed", "1", "--draws", "1000"], ["--seed", "987", "--draws", "250000"]):
+            assert main(base + extra) == 0
+            records = json.loads(capsys.readouterr().out)
+            assert [r["method"] for r in records] == methods
+            runs.append([(repr(r["lower"]), repr(r["upper"])) for r in records])
+            if not extra:
+                assert all(r["draws"] is None and r["seed"] is None for r in records)
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_unretrieved_with_input_rejected(self, problem_file, capsys):
+        with pytest.raises(SystemExit, match="--unretrieved"):
+            main(["interval", "--input", problem_file, "--unretrieved", "5,5,5",
+                  "--method", "normal-mle"])
+        assert capsys.readouterr().out == ""
 
     def test_parse_error_reports_line(self, tmp_path, capsys):
         path = tmp_path / "broken.csv"
@@ -244,8 +269,6 @@ class TestDesign:
                 "betabin-half",
                 "--seed",
                 "4",
-                "--draws",
-                "1000",
                 "--samples",
                 "10",
                 "--output",
@@ -264,13 +287,28 @@ class TestDesign:
         rc = main(
             [
                 "design", "--truth", "500000,20,4500000,5", "--budget", "400", "--seed", "5",
-                "--samples", "20", "--draws", "2000", "--grid", "3", "--method", "naive-binomial",
+                "--samples", "20", "--grid", "3", "--method", "naive-binomial",
             ]
         )
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         widths = [float(line.split(",")[1]) for line in lines[2:-1]]
         assert len(widths) == 3 and all(0.0 < w <= 1.0 for w in widths)
+
+    def test_no_feasible_grid_allocation_rejected_before_output(self, capsys):
+        rc = main(["design", "--truth", "10,5,10,5", "--budget", "1000", "--seed", "1"])
+        assert rc == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "no feasible allocation of 1000 samples" in out.err
+
+    def test_non_integer_allocations_are_a_usage_error(self, capsys):
+        argv = ["design", "--truth", "500,250,4500,250", "--budget", "200", "--seed", "1",
+                "--allocations"]
+        assert main(argv + ["10,x"]) == 2
+        assert "--allocations" in capsys.readouterr().err
+        assert main(argv + ["10,300"]) == 1
+        assert "infeasible allocation" in capsys.readouterr().err
 
 
 class TestBinom:

@@ -13,7 +13,7 @@ from recallci.evaluation import (
     evaluate_coverage,
     width_vs_sample_size,
 )
-from recallci.intervals import METHODS, MonteCarloConfig
+from recallci.intervals import METHODS
 from recallci.scenarios import builtin_scenario
 from recallci.streams import RandomStream
 
@@ -200,24 +200,24 @@ class TestConfigValidation:
 class TestDesignWidthCurve:
     def test_census_budget_zero_width(self):
         truth = RealizationTruth(30, 50, 12, 8)
-        config = MonteCarloConfig(rng=RandomStream(5), draws=2000)
+        rng = RandomStream(5)
         curve = design_width_curve(
-            truth, 80, [30], "betabin-half", 0.95, config, samples=10
+            truth, 80, [30], "betabin-half", 0.95, rng, samples=10
         )
         assert curve == [(30, 0.0)]
 
     def test_infeasible_allocation_rejected(self):
         truth = RealizationTruth(30, 50, 12, 8)
-        config = MonteCarloConfig(rng=RandomStream(5), draws=2000)
+        rng = RandomStream(5)
         with pytest.raises(ValueError, match="infeasible"):
-            design_width_curve(truth, 100, [60], "betabin-half", 0.95, config)
+            design_width_curve(truth, 100, [60], "betabin-half", 0.95, rng)
 
     def test_unretrieved_heavy_allocation_wins_for_high_recall_low_precision(self):
         # high recall, low precision: most mass to the unretrieved segment helps
         truth = RealizationTruth(50_000, 450_000, 4_000, 1_000)
-        config = MonteCarloConfig(rng=RandomStream(6), draws=4000)
+        rng = RandomStream(6)
         curve = design_width_curve(
-            truth, 1000, [100, 500, 900], "betabin-half", 0.95, config, samples=30
+            truth, 1000, [100, 500, 900], "betabin-half", 0.95, rng, samples=30
         )
         widths = dict(curve)
         assert widths[100] < widths[900]
@@ -226,11 +226,11 @@ class TestDesignWidthCurve:
         # the allocation-sensitive profile: recall 0.75, precision 0.25 on a
         # 5M corpus with a 500k retrieval and a 5,000-assessment budget
         truth = RealizationTruth(500_000, 4_500_000, 125_000, 41_667)
-        config = MonteCarloConfig(rng=RandomStream(16), draws=3000)
+        rng = RandomStream(16)
         allocations = [1000, 2000, 3000, 4000]
         curve = dict(
             design_width_curve(
-                truth, 5000, allocations, "betabin-half", 0.95, config, samples=60
+                truth, 5000, allocations, "betabin-half", 0.95, rng, samples=60
             )
         )
         assert curve[1000] <= 1.10 * min(curve.values())
@@ -239,9 +239,9 @@ class TestDesignWidthCurve:
 class TestWidthVsSampleSize:
     def test_normal_width_scales_inverse_sqrt(self):
         truth = RealizationTruth(500_000, 4_500_000, 250_000, 250_000)
-        config = MonteCarloConfig(rng=RandomStream(7), draws=2000)
+        rng = RandomStream(7)
         rows = width_vs_sample_size(
-            [truth], [1000, 4000], ["normal-mle"], 0.95, config,
+            [truth], [1000, 4000], ["normal-mle"], 0.95, rng,
             allocation_grid=8, samples=20,
         )
         w = {r.sample_size: r.min_width for r in rows}
@@ -257,11 +257,35 @@ class TestWidthVsSampleSize:
         _, (half,) = normal_mid_half(CountBatch.of_problem(prob), 0.95, 0)
         assert 2 * half > 1.0
 
+    def test_rows_are_minima_of_design_curves(self):
+        # Each row is the narrowest point of the design curve over the grid
+        # (fractions 1/5 .. 4/5 of the size) on the stream keyed by (truth, size).
+        truths = [RealizationTruth(5_000, 45_000, 500, 300), RealizationTruth(900, 9_000, 400, 50)]
+        rng = RandomStream(11)
+        rows = width_vs_sample_size(
+            truths, [100, 1000], ["koopman", "betabin-half"], 0.95, rng,
+            allocation_grid=4, samples=15,
+        )
+        expected = []
+        for t_idx, truth in enumerate(truths):
+            for size in (100, 1000):
+                grid = [size // 5, 2 * size // 5, 3 * size // 5, 4 * size // 5]
+                for method in ("koopman", "betabin-half"):
+                    curve = design_width_curve(
+                        truth, size, grid, method, 0.95, rng.substream(t_idx, size), 15
+                    )
+                    n1, width = min(curve, key=lambda point: point[1])
+                    expected.append((truth.retrieved_size, size, method, n1, width))
+        assert [
+            (r.retrieved_size, r.sample_size, r.method, r.best_retrieved_allocation, r.min_width)
+            for r in rows
+        ] == expected
+
     def test_betabin_narrower_than_normal_at_low_prevalence(self):
         truth = RealizationTruth(500_000, 4_500_000, 250_000, 250_000)
-        config = MonteCarloConfig(rng=RandomStream(7), draws=4000)
+        rng = RandomStream(7)
         rows = width_vs_sample_size(
-            [truth], [200], ["normal-mle", "betabin-half"], 0.95, config,
+            [truth], [200], ["normal-mle", "betabin-half"], 0.95, rng,
             allocation_grid=8, samples=40,
         )
         by_method = {r.method: r.min_width for r in rows}

@@ -487,8 +487,7 @@ class TestComputeIntervalDispatch:
     def test_betabin_half_identity(self):
         via_dispatch = compute_interval("betabin-half", AUDIT_PROBLEM, 0.95, mc_config(7))
         (lower,), (upper,) = posterior_bounds(
-            CountBatch.of_problem(AUDIT_PROBLEM), 0.95, BETA_BINOMIAL, PriorSpec(0.5, 0.5),
-            mc_config(7),
+            CountBatch.of_problem(AUDIT_PROBLEM), 0.95, BETA_BINOMIAL, PriorSpec(0.5, 0.5)
         )
         assert (via_dispatch.lower, via_dispatch.upper) == (lower, upper)
 
@@ -510,10 +509,6 @@ class TestComputeIntervalDispatch:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown interval method"):
             compute_interval("bootstrap", AUDIT_PROBLEM, 0.95)
-
-    def test_mc_methods_need_config(self):
-        with pytest.raises(ValueError):
-            compute_interval("betabin-uniform", AUDIT_PROBLEM, 0.95)
 
 
 FORCEABLE = ("koopman", "beta-jeffreys", "betabin-uniform", "betabin-half", "betabin-mcp")
@@ -777,9 +772,9 @@ class TestExactBetaBinomial:
         n_ret, s_ret, n_unret, s_unret = design
         config = mc_config(1, draws=1000)
         for level in (0.95, 0.5):
-            lower, upper = interval_bounds(method, batch_of(design, pairs), level, config)
+            lower, upper = interval_bounds(method, batch_of(design, pairs), level)
             for k, (r1, r0) in enumerate(pairs):
-                alone = interval_bounds(method, batch_of(design, [(r1, r0)]), level, config)
+                alone = interval_bounds(method, batch_of(design, [(r1, r0)]), level)
                 assert (lower[k], upper[k]) == (alone[0][0], alone[1][0]), (r1, r0)
                 problem = RecallProblem.simple(n_ret, s_ret, r1, n_unret, s_unret, r0)
                 iv = compute_interval(method, problem, level, config)
@@ -791,13 +786,12 @@ class TestExactBetaBinomial:
         relevant = tuple(
             tuple(gen.integers(0, sample + 1, 25) for _, sample in segment) for segment in strata
         )
-        config = mc_config(1, draws=1000)
         for method in BETABIN_METHODS:
-            lower, upper = interval_bounds(method, CountBatch(strata, relevant), 0.95, config)
+            lower, upper = interval_bounds(method, CountBatch(strata, relevant), 0.95)
             for k in range(25):
                 alone = CountBatch(strata, tuple(tuple(r[k:k + 1] for r in seg) for seg in relevant))
                 assert (lower[k], upper[k]) == tuple(
-                    b[0] for b in interval_bounds(method, alone, 0.95, config)
+                    b[0] for b in interval_bounds(method, alone, 0.95)
                 )
 
     def test_harness_bounds_equal_compute_interval(self, monkeypatch):
@@ -805,8 +799,8 @@ class TestExactBetaBinomial:
         # and `neutral`; any seed and draw count give the harness's bounds.
         seen = []
 
-        def recording(method, batch, level, config):
-            bounds = interval_bounds(method, batch, level, config)
+        def recording(method, batch, level):
+            bounds = interval_bounds(method, batch, level)
             seen.append((method, batch, level, bounds))
             return bounds
 
@@ -831,8 +825,7 @@ class TestExactBetaBinomial:
     def test_empty_batch(self):
         for method in BETABIN_METHODS:
             lower, upper = interval_bounds(
-                method, batch_of((100, 10, 1000, 20), np.empty((0, 2), int)), 0.95,
-                mc_config(1, draws=1000),
+                method, batch_of((100, 10, 1000, 20), np.empty((0, 2), int)), 0.95
             )
             assert lower.shape == upper.shape == (0,)
 
@@ -846,10 +839,8 @@ class TestExactBetaBinomial:
         iv = compute_interval("betabin-mcp", problem, 0.95, mc_config(2, draws=1000))
         assert (iv.lower, iv.upper, iv.point) == (0.0, 1.0, None)
 
-    def test_level_and_config_errors(self):
+    def test_level_errors(self):
         problem = RecallProblem.simple(50, 10, 3, 80, 20, 4)
-        with pytest.raises(ValueError, match="MonteCarloConfig"):
-            compute_interval("betabin-half", problem, 0.95)
         for level in (0.0, 1.0):
             with pytest.raises(ValueError, match="strictly inside"):
                 compute_interval("betabin-half", problem, level, mc_config(1, draws=1000))
@@ -866,13 +857,12 @@ class TestStratifiedBatch:
         )
         batch = CountBatch(strata, relevant)
         for method in POSTERIOR_METHODS:
-            config = mc_config(3, draws=2000)
-            lower, upper = interval_bounds(method, batch, 0.95, config)
+            lower, upper = interval_bounds(method, batch, 0.95)
             assert (lower[0], upper[0]) == (0.0, 1.0)
             for k in range(25):
                 alone = CountBatch(strata, tuple(tuple(r[k:k + 1] for r in seg) for seg in relevant))
                 assert (lower[k], upper[k]) == tuple(
-                    b[0] for b in interval_bounds(method, alone, 0.95, config)
+                    b[0] for b in interval_bounds(method, alone, 0.95)
                 ), (method, k)
 
     def test_monte_carlo_draws_once_per_distinct_segment_counts(self, monkeypatch):
@@ -914,11 +904,11 @@ def test_nothing_sampled_relevant(method, monkeypatch):
             with pytest.raises(UndefinedEstimateError):
                 compute_interval(method, problem, 0.95, config)
             with pytest.raises(UndefinedEstimateError):
-                interval_bounds(method, batch, 0.95, config)
+                interval_bounds(method, batch, 0.95)
             continue
         iv = compute_interval(method, problem, 0.95, config)
         assert (iv.lower, iv.upper, iv.point) == (0.0, 1.0, None)
-        lower, upper = interval_bounds(method, batch, 0.95, config)
+        lower, upper = interval_bounds(method, batch, 0.95)
         assert (lower.tolist(), upper.tolist()) == ([0.0, 0.0], [1.0, 1.0])
 
 
@@ -981,7 +971,7 @@ class TestLattice:
             if r1 == 0 and r0 == 0:
                 continue
             batch = strata_batch(*segments)
-            (lower,), (upper,) = interval_bounds(method, batch, 0.95, mc_config(1, 1000))
+            (lower,), (upper,) = interval_bounds(method, batch, 0.95)
             (exact_lo,), (exact_hi,) = betabin_exact_bounds(batch, 0.95, prior)
             gaps.append(max(abs(lower - exact_lo), abs(upper - exact_hi)))
             assert gaps[-1] <= LATTICE_TOL, (trial, segments, method)
@@ -1027,18 +1017,10 @@ class TestLattice:
     def test_lattice_batch_equals_each_sample_alone(self, method):
         design = (800_000, 320, 6_000_000, 1600)
         pairs = design_pairs(design, np.random.default_rng(8))
-        lower, upper = interval_bounds(method, batch_of(design, pairs), 0.95, mc_config(1, 1000))
+        lower, upper = interval_bounds(method, batch_of(design, pairs), 0.95)
         for k, pair in enumerate(pairs):
-            alone = interval_bounds(method, batch_of(design, [pair]), 0.95, mc_config(1, 1000))
+            alone = interval_bounds(method, batch_of(design, [pair]), 0.95)
             assert (lower[k], upper[k]) == (alone[0][0], alone[1][0]), pair
-
-    @pytest.mark.parametrize("method", POSTERIOR_METHODS)
-    def test_bounds_independent_of_seed_and_draws(self, method):
-        design = (800_000, 320, 6_000_000, 1600)
-        batch = batch_of(design, design_pairs(design, np.random.default_rng(9)))
-        first = interval_bounds(method, batch, 0.95, mc_config(1, 1000))
-        second = interval_bounds(method, batch, 0.95, mc_config(987, 250_000))
-        assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
 
     def test_few_atoms_take_exact_bounds(self, monkeypatch):
         def no_lattice(*args, **kwargs):
@@ -1120,7 +1102,7 @@ def test_bounds_monotone_in_relevant_counts(design):
     }
     # Nearly every pair of these designs takes lattice bounds.
     for method in POSTERIOR_METHODS:
-        kernels[method] = interval_bounds(method, batch, 0.95, mc_config(1, 1000))
+        kernels[method] = interval_bounds(method, batch, 0.95)
     for name, (lower, upper) in kernels.items():
         for bound in (lower.reshape(61, 31), upper.reshape(61, 31)):
             assert np.all(np.diff(bound, axis=0) >= 0.0), name
