@@ -12,8 +12,8 @@ Subcommands:
 Every randomized subcommand (``coverage``, ``scenario``, ``design``) requires
 an explicit ``--seed`` and echoes it into its outputs, so results can be
 reproduced exactly.  ``interval`` is deterministic; its optional ``--seed``
-and ``--draws`` change no bound and are echoed into the records of the
-posterior methods.
+and ``--draws`` (at least 1,000) change no bound and are echoed into the
+records of the posterior methods.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .core import (
     exact_sampling_distribution,
 )
 from .evaluation import (
+    _NS_REALIZATION,
     EvalConfig,
     _allocation_grid,
     design_width_curve,
@@ -226,10 +227,9 @@ def _cmd_interval(args) -> int:
             ["unretrieved", "all", str(n0), str(s0), str(r0)],
         ]
         problem = parse_problem_rows(rows, source="<command line>")
-    # Only echoed into the posterior methods' records; no bound reads it.
-    echo = None
-    if args.seed is not None and any(m in MONTE_CARLO_METHODS for m in methods):
-        echo = MonteCarloConfig(rng=RandomStream(args.seed), draws=args.draws)
+    # Checks --draws on every call; echoed with --seed only.  No bound reads it.
+    config = MonteCarloConfig(rng=RandomStream(args.seed or 0), draws=args.draws)
+    echo = config if args.seed is not None else None
     records = []
     for method in methods:
         interval = compute_interval(method, problem, args.level)
@@ -267,7 +267,7 @@ def _cmd_scenario(args) -> int:
     ]
     base = RandomStream(args.seed)
     for i in range(args.count):
-        truth, design = sample_realization(spec, base.substream(0, i))
+        truth, design = sample_realization(spec, base.substream(_NS_REALIZATION, i))
         lines.append(
             f"{i},{truth.retrieved_size},{truth.unretrieved_size},"
             f"{truth.retrieved_yield},{truth.unretrieved_yield},"

@@ -21,7 +21,7 @@ betabin-half            as above with alpha = beta = 0.5
 
 All methods force the lower bound to 0 when the retrieved sample holds no
 relevant documents, and the upper bound to 1 when the unretrieved sample
-holds none, where those rules apply.
+holds none, where those rules apply (``_force``).
 
 A sample with no relevant document in either segment (a (0, 0) sample) has
 no recall estimate.  ``naive-binomial``, whose denominator is the number of
@@ -33,9 +33,9 @@ All nine methods are deterministic.  ``koopman`` takes each bound from the
 root of one cubic, polished by bracketed Newton steps.  The four posterior
 methods take quantiles of the posterior of recall tabulated on a lattice of
 log-yields, or, for beta-binomial posteriors with few atoms, of its exact
-enumeration (``betabin_exact_bounds``).  No interval takes a seed or a draw
-count; ``monte_carlo_interval``, which does, is the Monte Carlo reference
-estimator.
+enumeration (``betabin_exact_bounds``), with each stratum's prior resolved
+once per batch.  No interval takes a seed or a draw count;
+``monte_carlo_interval``, which does, is the Monte Carlo reference estimator.
 
 Every method is one entry of ``METHOD_TABLE``, a batch kernel over the
 relevant counts of many samples (``CountBatch``).  ``interval_bounds`` runs
@@ -60,7 +60,6 @@ from .core import (
     UNRETRIEVED,
     RecallProblem,
     SegmentData,
-    StratumCounts,
     UndefinedEstimateError,
     estimate_recall,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "koopman_bounds",
     "koopman_interval",
     "segment_yield_draws",
-    "monte_carlo_bounds",
     "monte_carlo_interval",
     "betabin_exact_bounds",
     "posterior_bounds",
@@ -110,7 +108,9 @@ class PriorSpec:
             raise ValueError("prior hyperparameters must be positive")
 
 
-PriorLike = Union[PriorSpec, Callable[[StratumCounts], PriorSpec], None]
+PriorLike = Union[PriorSpec, Callable[[int, int], PriorSpec], None]
+"""A beta-binomial prior: a ``PriorSpec`` for every stratum, or a callable of a stratum's
+``(population, sample)`` such as ``most_conservative_prior``; None under ``beta-jeffreys``."""
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,13 @@ def _point_or_none(problem: RecallProblem) -> float | None:
         return estimate_recall(problem)
     except ValueError:
         return None
+
+
+def _force(lower, upper, r1, r0):
+    """The forcing rules: lower 0 where r1 = 0, upper 1 where r0 = 0, upper at least lower."""
+    lower = np.where(r1 == 0, 0.0, lower)
+    upper = np.where(r0 == 0, 1.0, upper)
+    return lower, np.maximum(lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +310,7 @@ def normal_bounds(
     and the lower end to 0 when the retrieved sample has none.
     """
     mid, half = normal_mid_half(batch, level, adjustment)
-    r1, r0 = batch.totals()
-    lower = np.where(r1 == 0, 0.0, np.maximum(mid - half, 0.0))
-    upper = np.where(r0 == 0, 1.0, np.minimum(mid + half, 1.0))
-    return lower, np.minimum(np.maximum(upper, lower), 1.0)
+    return _force(np.maximum(mid - half, 0.0), np.minimum(mid + half, 1.0), *batch.totals())
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +410,7 @@ def koopman_interval(problem: RecallProblem, level: float) -> RecallInterval:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo posterior intervals.
+# Posterior intervals: priors, the posterior frame, the Monte Carlo reference.
 # ---------------------------------------------------------------------------
 
 
@@ -433,12 +437,36 @@ def equal_tail_quantiles(values: np.ndarray, level: float) -> tuple[float, float
     return float(head[lo - 1]), upper
 
 
-def _resolve_prior(prior: PriorLike, stratum: StratumCounts) -> PriorSpec:
+def _resolve_prior(prior: PriorLike, population: int, sample: int) -> PriorSpec:
     if prior is None:
         raise ValueError("beta-binomial posteriors need a prior specification")
     if callable(prior):
-        return prior(stratum)
+        return prior(population, sample)
     return prior
+
+
+def _posterior_frame(kernel, batch: CountBatch, level: float, family: str, prior: PriorLike):
+    """Posterior bounds on recall for every sample of a batch, under the forcing rules.
+
+    ``kernel(batch, lower, upper, sub, specs, tail)`` sets the bounds of the samples ``sub``
+    that hold a relevant document, given the tail probability and each stratum's
+    prior, resolved once: None under ``beta-jeffreys`` and without an unsampled
+    remainder, and never for a batch of (0, 0) samples."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("confidence level must lie strictly inside (0, 1)")
+    if family not in (BETA_JEFFREYS, BETA_BINOMIAL):
+        raise ValueError(f"unknown posterior family: {family!r}")
+    r1s, r0s = batch.totals()
+    lower, upper = np.zeros(len(r1s)), np.ones(len(r1s))
+    sub = np.flatnonzero((r1s > 0) | (r0s > 0))
+    if len(sub):
+        binomial = family == BETA_BINOMIAL
+        specs = tuple(
+            tuple(_resolve_prior(prior, n, s) if binomial and n > s else None for n, s in strata)
+            for strata in batch.strata
+        )
+        kernel(batch, lower, upper, sub, specs, (1.0 - level) / 2.0)
+    return _force(lower, upper, r1s, r0s)
 
 
 def segment_yield_draws(
@@ -470,62 +498,10 @@ def segment_yield_draws(
             if remainder == 0:
                 total += r
                 continue
-            spec = _resolve_prior(prior, s)
+            spec = _resolve_prior(prior, s.population_size, s.sample_size)
             q = gen.beta(spec.alpha + r, spec.beta + n - r, size=draws)
             total += r + gen.binomial(remainder, q)
     return total
-
-
-def monte_carlo_bounds(
-    batch: CountBatch,
-    level: float,
-    family: str,
-    prior: PriorLike = None,
-    config: MonteCarloConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo quantiles of the posterior on recall, for every sample:
-    the reference estimator for the posterior methods' bounds.
-
-    Per draw, every stratum independently contributes a posterior yield
-    draw; segment yields are summed and a recall value computed.  A
-    segment's yield draws depend on its own stratum counts only, so they
-    are drawn once per (segment, distinct stratum-count vector), from the
-    stream ``config.rng.substream(segment, *counts)``, and shared by every
-    sample that holds those counts.  Each sample's bounds are the
-    equal-tail nearest-rank quantiles (see ``equal_tail_quantiles``) of its
-    own ``draws`` paired recall values.  The lower bound is forced to 0 when
-    no relevant documents were sampled from the retrieved segment, the upper
-    to 1 when none were sampled from the unretrieved segment; a (0, 0)
-    sample gets [0, 1] without draws and without resolving a prior.
-    """
-    if config is None:
-        raise ValueError("monte carlo interval estimation requires a MonteCarloConfig")
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie strictly inside (0, 1)")
-    r1s, r0s = batch.totals()
-    lower, upper = np.zeros(len(r1s)), np.ones(len(r1s))
-    sub = np.flatnonzero((r1s > 0) | (r0s > 0))
-    yields, rows = [], []
-    for segment_index, label in enumerate((RETRIEVED, UNRETRIEVED)):
-        strata = batch.strata[segment_index]
-        vectors = list(zip(*(r[sub].tolist() for r in batch.relevant[segment_index])))
-        row_of = {}
-        for vector in sorted(set(vectors)):
-            row_of[vector] = len(yields)
-            segment = SegmentData(
-                tuple(StratumCounts(n, s, r) for (n, s), r in zip(strata, vector)), label
-            )
-            stream = config.rng.substream(segment_index, *vector)
-            yields.append(
-                segment_yield_draws(segment, family, prior, config.draws, stream, segment_index)
-            )
-        rows.append([row_of[vector] for vector in vectors])
-    for k, i1, i0 in zip(sub.tolist(), *rows):
-        y1 = yields[i1]
-        lower[k], upper[k] = equal_tail_quantiles(y1 / (y1 + yields[i0]), level)
-    lower[r1s == 0] = 0.0
-    upper[r0s == 0] = 1.0
-    return lower, np.maximum(lower, upper)
 
 
 def monte_carlo_interval(
@@ -534,15 +510,35 @@ def monte_carlo_interval(
     family: str,
     prior: PriorLike = None,
     config: MonteCarloConfig | None = None,
-    method_tag: str | None = None,
 ) -> RecallInterval:
-    """The Monte Carlo interval of one problem; see ``monte_carlo_bounds``."""
-    (lower,), (upper,) = monte_carlo_bounds(
-        CountBatch.of_problem(problem), level, family, prior, config
-    )
-    return RecallInterval(
-        float(lower), float(upper), level, _point_or_none(problem), method_tag or family
-    )
+    """Monte Carlo quantiles of the posterior on recall: the reference
+    estimator for the posterior methods' bounds.
+
+    Segment i (0 retrieved, 1 unretrieved) draws its posterior yields
+    (``segment_yield_draws``) from ``config.rng.substream(i, *counts)``,
+    ``counts`` its relevant counts per stratum.  The bounds are the
+    equal-tail nearest-rank quantiles (``equal_tail_quantiles``) of the
+    paired recall values, under the forcing rules; a (0, 0) problem gets
+    [0, 1] without draws and without resolving a prior.
+    """
+    if config is None:
+        raise ValueError("monte carlo interval estimation requires a MonteCarloConfig")
+    if not 0.0 < level < 1.0:
+        raise ValueError("confidence level must lie strictly inside (0, 1)")
+    segments = (problem.retrieved, problem.unretrieved)
+    r1, r0 = (segment.total_relevant_sampled for segment in segments)
+    lower, upper = 0.0, 1.0
+    if r1 or r0:
+        y1, y0 = (
+            segment_yield_draws(
+                segment, family, prior, config.draws,
+                config.rng.substream(index, *(s.relevant_in_sample for s in segment.strata)), index,
+            )
+            for index, segment in enumerate(segments)
+        )
+        lower, upper = equal_tail_quantiles(y1 / (y1 + y0), level)
+    lower, upper = _force(lower, upper, r1, r0)
+    return RecallInterval(float(lower), float(upper), level, _point_or_none(problem), family)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +590,7 @@ def _count_window(remainder: int, a: float, b: float, tail: float) -> tuple[int,
 
 
 def _stratum_posteriors(
-    population: int, sample: int, counts, prior: PriorLike, tail: float
+    population: int, sample: int, counts, spec: PriorSpec | None, tail: float
 ) -> dict[int, tuple[int, np.ndarray]]:
     """Truncated posterior pmf of one stratum's yield per relevant count.
 
@@ -618,28 +614,22 @@ def _stratum_posteriors(
             groups.append([r])
     out = {}
     for group in groups:
-        specs = [_resolve_prior(prior, StratumCounts(population, sample, r)) for r in group]
         # An atom outside its window has probability at most tail / (remainder + 1).
         windows = [
             _count_window(remainder, spec.alpha + r, spec.beta + sample - r,
                           tail / (2 * (remainder + 1)))
-            for r, spec in zip(group, specs)
+            for r in group
         ]
         k_lo, k_hi = min(w[0] for w in windows), max(w[1] for w in windows)
         ks = np.arange(k_lo, k_hi + 1, dtype=float)
         log_c = gammaln(remainder + 1.0) - gammaln(ks + 1.0) - gammaln(remainder - ks + 1.0)
         lo, hi = group[0] + k_lo, group[-1] + k_hi  # yields r + k
-        tables: dict[PriorSpec, tuple[np.ndarray, np.ndarray]] = {}
-        for r, spec, (w_lo, w_hi) in zip(group, specs, windows):
-            if spec not in tables:
-                # log G(alpha + y) over the yields, log G(beta + sample + remainder - y)
-                # over the same yields in reverse.
-                top = sample + remainder
-                tables[spec] = (
-                    gammaln(spec.alpha + np.arange(lo, hi + 1)),
-                    gammaln(spec.beta + np.arange(top - hi, top - lo + 1)),
-                )
-            g_alpha, g_beta = tables[spec]
+        # log G(alpha + y) over the yields, log G(beta + sample + remainder - y)
+        # over the same yields in reverse.
+        top = sample + remainder
+        g_alpha = gammaln(spec.alpha + np.arange(lo, hi + 1))
+        g_beta = gammaln(spec.beta + np.arange(top - hi, top - lo + 1))
+        for r, (w_lo, w_hi) in zip(group, windows):
             first, last = r + w_lo - lo, r + w_hi - lo
             # log C(rem, k) + log G(alpha + r + k) + log G(beta + sample - r + rem - k),
             # up to a constant.
@@ -665,12 +655,12 @@ class _Posteriors(NamedTuple):
     var: np.ndarray
 
 
-def _segment_posteriors(strata, counts, prior: PriorLike, tail: float):
+def _segment_posteriors(strata, counts, specs, tail: float):
     """Each sample's row index and the posterior yield pmfs of a segment."""
     keys, rows = np.unique(np.stack(counts, axis=1), axis=0, return_inverse=True)
     per_stratum = [
-        _stratum_posteriors(population, sample, sorted(set(keys[:, s].tolist())), prior, tail)
-        for s, (population, sample) in enumerate(strata)
+        _stratum_posteriors(population, sample, sorted(set(keys[:, s].tolist())), spec, tail)
+        for s, ((population, sample), spec) in enumerate(zip(strata, specs))
     ]
     firsts, pmfs = [], []
     for key in keys.tolist():
@@ -926,31 +916,14 @@ def _exact_quantiles(post1, post0, rows1, rows0, upper, tail):
     return out
 
 
-def betabin_exact_bounds(
-    batch: CountBatch, level: float, prior: PriorLike
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact equal-tail beta-binomial bounds on recall for every sample.
-
-    Forcing rules as for ``monte_carlo_bounds``: the lower bound is 0 when
-    the retrieved sample holds no relevant document, the upper bound 1 when
-    the unretrieved sample holds none, so a (0, 0) sample gets [0, 1].
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie strictly inside (0, 1)")
-    tail = (1.0 - level) / 2.0
+def _exact_bounds(batch: CountBatch, lower, upper, sub: np.ndarray, specs, tail: float) -> None:
+    """Set the exact bounds of the samples ``sub`` of a batch that the forcing
+    rules leave open; see ``_posterior_frame``."""
+    (rows1, post1), (rows0, post0) = (
+        _segment_posteriors(strata, [r[sub] for r in relevant], priors, _TAIL_SHARE * tail)
+        for strata, relevant, priors in zip(batch.strata, batch.relevant, specs)
+    )
     r1s, r0s = batch.totals()
-    lower, upper = np.zeros(len(r1s)), np.ones(len(r1s))
-    # (0, 0) samples take no posterior, so their priors are never resolved.
-    sub = np.flatnonzero((r1s > 0) | (r0s > 0))
-    if not len(sub):
-        return lower, upper
-    cut = _TAIL_SHARE * tail
-    rows1, post1 = _segment_posteriors(
-        batch.strata[0], [r[sub] for r in batch.relevant[0]], prior, cut
-    )
-    rows0, post0 = _segment_posteriors(
-        batch.strata[1], [r[sub] for r in batch.relevant[1]], prior, cut
-    )
     need_lo, need_hi = np.flatnonzero(r1s[sub] > 0), np.flatnonzero(r0s[sub] > 0)
     which = np.concatenate([need_lo, need_hi])
     bounds = _exact_quantiles(
@@ -958,7 +931,14 @@ def betabin_exact_bounds(
     )
     lower[sub[need_lo]] = bounds[: len(need_lo)]
     upper[sub[need_hi]] = bounds[len(need_lo) :]
-    return lower, np.maximum(lower, upper)
+
+
+def betabin_exact_bounds(
+    batch: CountBatch, level: float, prior: PriorLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact equal-tail beta-binomial bounds on recall for every sample,
+    under the forcing rules and with priors as in ``_posterior_frame``."""
+    return _posterior_frame(_exact_bounds, batch, level, BETA_BINOMIAL, prior)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,10 +1036,6 @@ def most_conservative_prior(population: int, sample: int) -> PriorSpec:
     return PriorSpec(value, value)
 
 
-def _mcp_prior(stratum: StratumCounts) -> PriorSpec:
-    return most_conservative_prior(stratum.population_size, stratum.sample_size)
-
-
 # ---------------------------------------------------------------------------
 # Posterior quantiles on a log-yield lattice.
 #
@@ -1122,7 +1098,7 @@ def _betabin_pmf(remainder: int, a: float, b: float, k: np.ndarray) -> np.ndarra
     )
 
 
-def _stratum_window(population: int, sample: int, r: int, family: str, prior: PriorLike):
+def _stratum_window(population: int, sample: int, r: int, family: str, spec: PriorSpec | None):
     """(a, b, lo, hi): the posterior's beta parameters and a window of unsampled
     relevant counts (real ones for a beta posterior) holding all but
     ``_LATTICE_TAIL`` a side."""
@@ -1131,7 +1107,6 @@ def _stratum_window(population: int, sample: int, r: int, family: str, prior: Pr
         a, b = 0.5 + r, 0.5 + sample - r
         lo, hi = _prevalence_range(a, b, _LATTICE_TAIL)
         return a, b, remainder * lo, remainder * hi
-    spec = _resolve_prior(prior, StratumCounts(population, sample, r))
     a, b = spec.alpha + r, spec.beta + sample - r
     return (a, b, *_count_window(remainder, a, b, _LATTICE_TAIL))
 
@@ -1204,8 +1179,8 @@ def _merge_blocks(centre: np.ndarray, mass: np.ndarray, spread: np.ndarray):
     return first, total[used], np.maximum(second - first * first, 0.0)
 
 
-def _segment_log_yields(strata, vector, family: str, prior: PriorLike) -> _LogYields:
-    """The posterior of a segment's yield given one relevant count per stratum.
+def _segment_log_yields(strata, vector, family: str, specs) -> _LogYields:
+    """The posterior of a segment's yield given one relevant count and prior per stratum.
 
     Each stratum takes blocks about equally wide in log-yield.  A block of a
     sum of strata is a sum of their blocks; past ``_SUM_POINTS`` blocks,
@@ -1216,12 +1191,12 @@ def _segment_log_yields(strata, vector, family: str, prior: PriorLike) -> _LogYi
     zero = 1.0  # a yield of 0 takes no relevant count, sampled or not, in any stratum
     # Strata that are summed take coarser blocks, a sum being smoother than its parts.
     per_sd, most = (_BLOCKS_PER_SD, _MAX_BLOCKS) if len(strata) == 1 else (32, 512)
-    for (population, sample), r in zip(strata, vector):
+    for (population, sample), r, spec in zip(strata, vector, specs):
         remainder = population - sample
         if not remainder:
             centre, zero = centre + r, zero * (r == 0)
             continue
-        window = _stratum_window(population, sample, r, family, prior)
+        window = _stratum_window(population, sample, r, family, spec)
         edges = _block_edges(remainder, r, window, family, per_sd, most)
         width = np.diff(edges)
         part = _stratum_masses(remainder, window, family, edges)
@@ -1316,13 +1291,12 @@ def _inverse_cubic(f: list[float], p: float) -> float:
     return value
 
 
-def _betabin_yield_sd(strata, vector, prior: PriorLike) -> float:
-    """The sd of a segment's beta-binomial posterior yield."""
+def _betabin_yield_sd(strata, vector, specs) -> float:
+    """The sd of a segment's beta-binomial posterior yield, given its strata's priors."""
     var = 0.0
-    for (population, sample), r in zip(strata, vector):
+    for (population, sample), r, spec in zip(strata, vector, specs):
         remainder = population - sample
         if remainder:
-            spec = _resolve_prior(prior, StratumCounts(population, sample, r))
             a, b = spec.alpha + r, spec.beta + sample - r
             var += remainder * a * b * (a + b + remainder) / ((a + b) ** 2 * (a + b + 1.0))
     return math.sqrt(var)
@@ -1339,54 +1313,44 @@ def posterior_bounds(
     The bounds are lattice quantiles of the posterior of recall, except
     for beta-binomial pairs whose two posterior yield sds multiply to less
     than ``_LATTICE_ATOMS_MIN`` and are at most ``_EXACT_SD_MAX``, which
-    take exact quantiles (``betabin_exact_bounds``).  Forcing rules as for
-    ``monte_carlo_bounds``.
+    take exact quantiles (``betabin_exact_bounds``).  Forcing rules and
+    priors as in ``_posterior_frame``.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie strictly inside (0, 1)")
-    if family not in (BETA_JEFFREYS, BETA_BINOMIAL):
-        raise ValueError(f"unknown posterior family: {family!r}")
-    tail = (1.0 - level) / 2.0
-    r1s, r0s = batch.totals()
-    lower, upper = np.zeros(len(r1s)), np.ones(len(r1s))
-    # (0, 0) samples take no posterior, so their priors are never resolved.
-    sub = np.flatnonzero((r1s > 0) | (r0s > 0))
-    vectors = [list(zip(*(r[sub].tolist() for r in relevant))) for relevant in batch.relevant]
-    pairs: dict[tuple, list[int]] = {}
-    for k, v1, v0 in zip(sub.tolist(), *vectors):
-        pairs.setdefault((v1, v0), []).append(k)
 
-    # Per segment (0 retrieved, 1 unretrieved) and count vector, computed once.
-    @functools.cache
-    def yield_sd(side: int, vector) -> float:
-        return _betabin_yield_sd(batch.strata[side], vector, prior)
+    def lattice(batch, lower, upper, sub, specs, tail):
+        vectors = [list(zip(*(r[sub].tolist() for r in relevant))) for relevant in batch.relevant]
+        pairs: dict[tuple, list[int]] = {}
+        for k, v1, v0 in zip(sub.tolist(), *vectors):
+            pairs.setdefault((v1, v0), []).append(k)
 
-    @functools.cache
-    def posterior(side: int, vector) -> _LogYields:
-        return _segment_log_yields(batch.strata[side], vector, family, prior)
+        # Per segment (0 retrieved, 1 unretrieved) and count vector, computed once.
+        @functools.cache
+        def yield_sd(side: int, vector) -> float:
+            return _betabin_yield_sd(batch.strata[side], vector, specs[side])
 
-    @functools.cache
-    def nodes(side: int, vector, h: float):
-        return _nodes(posterior(side, vector), h)
+        @functools.cache
+        def posterior(side: int, vector) -> _LogYields:
+            return _segment_log_yields(batch.strata[side], vector, family, specs[side])
 
-    exact = []
-    for (v1, v0), ks in pairs.items():
-        if family == BETA_BINOMIAL:
-            sds = yield_sd(0, v1), yield_sd(1, v0)
-            if sds[0] * sds[1] < _LATTICE_ATOMS_MIN and max(sds) <= _EXACT_SD_MAX:
-                exact += ks
-                continue
-        lower[ks], upper[ks] = _lattice_quantiles(
-            posterior(0, v1), posterior(1, v0),
-            lambda h: (nodes(0, v1, h), nodes(1, v0, h)), (tail, 1.0 - tail),
-        )
-    if exact:
-        idx = np.array(sorted(exact))
-        part = CountBatch(batch.strata, tuple(tuple(r[idx] for r in seg) for seg in batch.relevant))
-        lower[idx], upper[idx] = betabin_exact_bounds(part, level, prior)
-    lower[r1s == 0] = 0.0
-    upper[r0s == 0] = 1.0
-    return lower, np.maximum(lower, upper)
+        @functools.cache
+        def nodes(side: int, vector, h: float):
+            return _nodes(posterior(side, vector), h)
+
+        exact = []
+        for (v1, v0), ks in pairs.items():
+            if family == BETA_BINOMIAL:
+                sds = yield_sd(0, v1), yield_sd(1, v0)
+                if sds[0] * sds[1] < _LATTICE_ATOMS_MIN and max(sds) <= _EXACT_SD_MAX:
+                    exact += ks
+                    continue
+            lower[ks], upper[ks] = _lattice_quantiles(
+                posterior(0, v1), posterior(1, v0),
+                lambda h: (nodes(0, v1, h), nodes(1, v0, h)), (tail, 1.0 - tail),
+            )
+        if exact:
+            _exact_bounds(batch, lower, upper, np.array(sorted(exact)), specs, tail)
+
+    return _posterior_frame(lattice, batch, level, family, prior)
 
 
 class MethodSpec(NamedTuple):
@@ -1404,7 +1368,7 @@ METHOD_TABLE = {
     "koopman": MethodSpec(koopman_bounds),
     "beta-jeffreys": MethodSpec(posterior_bounds, (BETA_JEFFREYS, None)),
     "betabin-uniform": MethodSpec(posterior_bounds, (BETA_BINOMIAL, PriorSpec(1.0, 1.0))),
-    "betabin-mcp": MethodSpec(posterior_bounds, (BETA_BINOMIAL, _mcp_prior)),
+    "betabin-mcp": MethodSpec(posterior_bounds, (BETA_BINOMIAL, most_conservative_prior)),
     "betabin-half": MethodSpec(posterior_bounds, (BETA_BINOMIAL, PriorSpec(0.5, 0.5))),
 }
 """The nine methods, in their output order."""

@@ -13,7 +13,7 @@ __all__ = ["RandomStream"]
 class RandomStream:
     """A named source of pseudo-random numbers.
 
-    A stream is fully identified by ``(seed, stream_id, path)``: two streams
+    A stream is fully identified by ``(seed, path)``: two streams
     with identical keys produce identical draw sequences, and streams with
     distinct keys are statistically independent.  Because the key alone
     determines the stream, results do not depend on the order in which
@@ -27,25 +27,21 @@ class RandomStream:
     """
 
     seed: int
-    stream_id: int = 0
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be a nonnegative integer")
         if any(ix < 0 for ix in self.path):
             raise ValueError("path indices must be nonnegative integers")
 
     def substream(self, *indices: int) -> "RandomStream":
         """Derive an independent child stream keyed by ``indices``."""
         extra = tuple(int(ix) for ix in indices)
-        return RandomStream(self.seed, self.stream_id, self.path + extra)
+        return RandomStream(self.seed, self.path + extra)
 
     def generator(self) -> np.random.Generator:
         """Fresh numpy generator at the start of this stream."""
-        key = np.random.SeedSequence(
-            entropy=int(self.seed), spawn_key=(int(self.stream_id), *self.path)
-        )
+        # The leading 0 keeps the keys, and so the draws, of earlier releases.
+        key = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(0, *self.path))
         return np.random.Generator(np.random.PCG64(key))

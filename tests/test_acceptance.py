@@ -179,9 +179,7 @@ def test_small_instance_oracle_equivalence():
                 continue
             problem = RecallProblem.simple(n1_pop, s1, r1, n0_pop, s0, r0)
             config = MonteCarloConfig(rng=RandomStream(909_000 + trial), draws=1_000_000)
-            interval = monte_carlo_interval(
-                problem, 0.95, BETA_BINOMIAL, prior, config, "betabin-half"
-            )
+            interval = monte_carlo_interval(problem, 0.95, BETA_BINOMIAL, prior, config)
             exact_lo, exact_hi = _exhaustive_posterior_quantiles(
                 n1_pop, s1, r1, n0_pop, s0, r0, prior, 0.95
             )

@@ -6,6 +6,7 @@ import pytest
 
 from recallci.cli import main
 from recallci.intervals import METHODS, MONTE_CARLO_METHODS
+from recallci.scenarios import builtin_scenario
 
 PROBLEM_CSV = """segment,stratum,population,sample,relevant
 retrieved,all,2000,100,50
@@ -111,6 +112,23 @@ class TestInterval:
                 assert all(r["draws"] is None and r["seed"] is None for r in records)
         assert runs[0] == runs[1] == runs[2]
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--method", "betabin-half", "--seed", "1"],
+            ["--method", "koopman", "--seed", "1"],
+            ["--method", "betabin-half"],
+            [],
+        ],
+        ids=["posterior-seeded", "koopman-only", "no-seed", "defaults-no-seed"],
+    )
+    def test_too_few_draws_rejected_on_every_call(self, problem_file, capsys, extra):
+        rc = main(["interval", "--input", problem_file, "--draws", "500", *extra])
+        assert rc == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error: Monte Carlo interval estimation needs at least 1000 draws" in out.err
+
     def test_unretrieved_with_input_rejected(self, problem_file, capsys):
         with pytest.raises(SystemExit, match="--unretrieved"):
             main(["interval", "--input", problem_file, "--unretrieved", "5,5,5",
@@ -197,6 +215,31 @@ class TestScenario:
         assert out[0].startswith("# scenario=small")
         assert out[1].startswith("realization,")
         assert len(out) == 2 + 3
+
+    def test_lists_the_realizations_the_coverage_study_draws(self, capsys, monkeypatch):
+        # Realization i of `scenario --seed 9` is realization i of a coverage
+        # study at master seed 9: the same stream key in both commands.
+        from recallci import evaluation
+
+        studied = []
+        draw = evaluation.sample_realization
+
+        def recording(spec, stream):
+            studied.append(draw(spec, stream))
+            return studied[-1]
+
+        monkeypatch.setattr(evaluation, "sample_realization", recording)
+        config = evaluation.EvalConfig(
+            master_seed=9, realizations=3, samples_per_realization=5, methods=("normal-mle",)
+        )
+        evaluation.evaluate_coverage(builtin_scenario("small"), config)
+        assert main(["scenario", "--scenario", "small", "--count", "3", "--seed", "9"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert rows == [
+            f"{i},{t.retrieved_size},{t.unretrieved_size},{t.retrieved_yield},"
+            f"{t.unretrieved_yield},{d.retrieved_sample},{d.unretrieved_sample},{t.recall!r}"
+            for i, (t, d) in enumerate(studied)
+        ]
 
     def test_custom_config(self, tmp_path, capsys):
         config = tmp_path / "custom.scenario"

@@ -242,22 +242,23 @@ class TestSamplers:
 
     def test_determinism_same_stream(self):
         seg = SegmentData.simple("unretrieved", 500, 60, 7)
-        a = segment_yield_draws(seg, BETA_BINOMIAL, PriorSpec(0.5, 0.5), 50, RandomStream(9, 4), 1)
-        b = segment_yield_draws(seg, BETA_BINOMIAL, PriorSpec(0.5, 0.5), 50, RandomStream(9, 4), 1)
+        stream = RandomStream(9).substream(4)
+        a = segment_yield_draws(seg, BETA_BINOMIAL, PriorSpec(0.5, 0.5), 50, stream, 1)
+        b = segment_yield_draws(seg, BETA_BINOMIAL, PriorSpec(0.5, 0.5), 50, stream, 1)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_uncorrelated(self):
         n = 100_000
-        a = RandomStream(123, 0).generator().random(n)
-        b = RandomStream(123, 1).generator().random(n)
+        a = RandomStream(123).substream(0).generator().random(n)
+        b = RandomStream(123).substream(1).generator().random(n)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
         assert abs(np.corrcoef(a[:-1], b[1:])[0, 1]) < 0.01  # lag 1
 
 
 class TestRandomStream:
     def test_identical_keys_identical_sequences(self):
-        a = RandomStream(17, 3).substream(2, 5)
-        b = RandomStream(17, 3).substream(2, 5)
+        a = RandomStream(17).substream(3, 2, 5)
+        b = RandomStream(17).substream(3, 2, 5)
         assert np.array_equal(a.generator().random(100), b.generator().random(100))
 
     def test_distinct_paths_differ(self):
@@ -269,4 +270,4 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(-1)
         with pytest.raises(ValueError):
-            RandomStream(1, -2)
+            RandomStream(1).substream(-2)

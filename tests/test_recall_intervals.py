@@ -32,7 +32,6 @@ from recallci.intervals import (
     interval_bounds,
     koopman_bounds,
     koopman_interval,
-    monte_carlo_bounds,
     monte_carlo_interval,
     most_conservative_prior,
     normal_bounds,
@@ -436,6 +435,46 @@ class TestMonteCarloIntervals:
         )
         assert 0.0 <= iv.lower <= iv.upper <= 1.0
 
+    @pytest.mark.parametrize(
+        "problem, jeffreys, betabin",
+        [
+            (
+                AUDIT_PROBLEM,
+                (0.11026098252369287, 0.5222111276661261),
+                (0.1093632016108734, 0.5238390092879257),
+            ),
+            (  # r1 = 0: the lower bound is forced
+                RecallProblem.simple(400_000, 160, 0, 9_000_000, 800, 14),
+                (0.0, 0.04221267794963742),
+                (0.0, 0.04147439971263574),
+            ),
+            (
+                RecallProblem(
+                    SegmentData(
+                        (StratumCounts(900, 60, 40), StratumCounts(1100, 40, 8)), "retrieved"
+                    ),
+                    SegmentData(
+                        (StratumCounts(40000, 200, 1), StratumCounts(60000, 100, 0)),
+                        "unretrieved",
+                    ),
+                ),
+                (0.2933946318536947, 0.9336377812587006),
+                (0.2902364607170099, 0.9314917127071823),
+            ),
+        ],
+        ids=["single-stratum", "r1-zero", "stratified"],
+    )
+    def test_bounds_pinned_at_fixed_seed(self, problem, jeffreys, betabin):
+        # Segment i draws from RandomStream(2024).substream(i, *its counts);
+        # a change of stream keys or of the draw order moves these bits.
+        config = MonteCarloConfig(rng=RandomStream(2024), draws=2000)
+        for family, prior, pinned in (
+            (BETA_JEFFREYS, None, jeffreys),
+            (BETA_BINOMIAL, PriorSpec(0.5, 0.5), betabin),
+        ):
+            iv = monte_carlo_interval(problem, 0.95, family, prior, config)
+            assert (iv.lower, iv.upper, iv.method) == (*pinned, family)
+
     def test_requires_config(self):
         with pytest.raises(ValueError, match="MonteCarloConfig"):
             monte_carlo_interval(AUDIT_PROBLEM, 0.95, BETA_JEFFREYS)
@@ -640,7 +679,7 @@ def exhaustive_bounds(retrieved, unretrieved, prior, level):
             if rest == 0:
                 ky, kp = np.array([r]), np.ones(1)
             else:
-                spec = prior(StratumCounts(population, sample, r)) if callable(prior) else prior
+                spec = prior(population, sample) if callable(prior) else prior
                 params = BetaBinomialParams(rest, spec.alpha + r, spec.beta + sample - r)
                 ky = r + np.arange(rest + 1)
                 kp = np.array([beta_binomial_pmf(params, k) for k in range(rest + 1)])
@@ -865,25 +904,41 @@ class TestStratifiedBatch:
                     b[0] for b in interval_bounds(method, alone, 0.95)
                 ), (method, k)
 
-    def test_monte_carlo_draws_once_per_distinct_segment_counts(self, monkeypatch):
-        draw = intervals.segment_yield_draws
-        keys = []
 
-        def recording(segment, family, prior, draws, rng, segment_index):
-            keys.append((segment_index, rng.path))
-            return draw(segment, family, prior, draws, rng, segment_index)
-
-        monkeypatch.setattr(intervals, "segment_yield_draws", recording)
-        design = (10**6, 100, 10**7, 200)
-        pairs = [(3, 4), (3, 5), (0, 0), (2, 4), (3, 4), (0, 5)]
-        stream = RandomStream(4, path=(9,))
-        monte_carlo_bounds(
-            batch_of(design, pairs), 0.95, BETA_BINOMIAL, PriorSpec(0.5, 0.5),
-            MonteCarloConfig(stream, 1000),
+    @pytest.mark.parametrize("kernel", [posterior_bounds, betabin_exact_bounds])
+    def test_prior_resolved_once_per_stratum_with_a_remainder(self, kernel, monkeypatch):
+        # Many distinct counts per stratum, a census stratum, and, for
+        # posterior_bounds, pairs on both the lattice and the exact path.
+        strata = (((3000, 200), (900, 30)), ((4000, 100), (500, 40), (7, 7)))
+        gen = np.random.default_rng(3)
+        relevant = tuple(
+            tuple(gen.integers(0, min(sample, 12) + 1, 40) for _, sample in segment)
+            for segment in strata
         )
-        assert sorted(keys) == [
-            (0, (9, 0, r1)) for r1 in (0, 2, 3)
-        ] + [(1, (9, 1, r0)) for r0 in (4, 5)]
+        paths = []
+
+        def counted(name):
+            original = getattr(intervals, name)
+
+            def run(*args):
+                paths.append(name)
+                return original(*args)
+
+            return run
+
+        for name in ("_lattice_quantiles", "_exact_bounds"):
+            monkeypatch.setattr(intervals, name, counted(name))
+        calls = []
+
+        def recording(population, sample):
+            calls.append((population, sample))
+            return PriorSpec(0.5, 0.5)
+
+        args = (BETA_BINOMIAL,) if kernel is posterior_bounds else ()
+        kernel(CountBatch(strata, relevant), 0.95, *args, recording)
+        assert sorted(calls) == [(500, 40), (900, 30), (3000, 200), (4000, 100)]
+        if kernel is posterior_bounds:
+            assert {"_lattice_quantiles", "_exact_bounds"} <= set(paths)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -941,7 +996,11 @@ def random_lattice_problem(gen, strata):
 def lattice_answers(batch, prior):
     """Whether the lattice, not the exact kernel, gives this one-sample batch's bounds."""
     sds = [
-        intervals._betabin_yield_sd(strata, tuple(int(r[0]) for r in counts), prior)
+        intervals._betabin_yield_sd(
+            strata,
+            tuple(int(r[0]) for r in counts),
+            [intervals._resolve_prior(prior, n, s) if n > s else None for n, s in strata],
+        )
         for strata, counts in zip(batch.strata, batch.relevant)
     ]
     return sds[0] * sds[1] >= intervals._LATTICE_ATOMS_MIN
@@ -1040,7 +1099,7 @@ class TestLattice:
             raise AssertionError("exact path ran")
 
         problem = RecallProblem.simple(60_000, 400, 90, 300_000, 300, 40)
-        monkeypatch.setattr(intervals, "betabin_exact_bounds", no_exact)
+        monkeypatch.setattr(intervals, "_exact_bounds", no_exact)
         for method in BETABIN_METHODS:
             assert lattice_answers(CountBatch.of_problem(problem), prior_of(method))
             iv = compute_interval(method, problem, 0.95, mc_config(11, 4000))

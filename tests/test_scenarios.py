@@ -138,8 +138,8 @@ def test_realization_invariants(name, scenario_draws):
 
 def test_sampling_is_deterministic_per_stream():
     spec = builtin_scenario("legal")
-    a = [sample_realization(spec, RandomStream(5, i)) for i in range(20)]
-    b = [sample_realization(spec, RandomStream(5, i)) for i in range(20)]
+    a = [sample_realization(spec, RandomStream(5).substream(i)) for i in range(20)]
+    b = [sample_realization(spec, RandomStream(5).substream(i)) for i in range(20)]
     assert a == b
 
 
