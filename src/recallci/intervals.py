@@ -937,7 +937,13 @@ def betabin_exact_bounds(
     batch: CountBatch, level: float, prior: PriorLike
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact equal-tail beta-binomial bounds on recall for every sample,
-    under the forcing rules and with priors as in ``_posterior_frame``."""
+    under the forcing rules and with priors as in ``_posterior_frame``.
+
+    The search enumerates each segment's posterior support, about 16 sds of
+    its yield, so time and memory grow with it: a pair of wide posteriors
+    can take minutes.  ``posterior_bounds`` sends pairs with a segment's
+    yield sd past ``_EXACT_SD_MAX`` to the lattice instead.
+    """
     return _posterior_frame(_exact_bounds, batch, level, BETA_BINOMIAL, prior)
 
 
@@ -950,59 +956,65 @@ _POPULATION_CAP = 1000
 _GAP_CAP = 200
 
 
+def _entropy_table(population: int, sample: int) -> np.ndarray:
+    """H(X | Y = y) for y = 0 .. population: the entropy of the hypergeometric
+    count X of relevant documents in the sample given a yield of y, which no
+    prior enters.  Summed over the (sample + 1) x (population - sample + 1)
+    grid of sampled and unsampled counts, one anti-diagonal per yield."""
+    xs = np.arange(sample + 1)
+    js = np.arange(population - sample + 1)
+    r_of = xs[:, None] + js[None, :]
+    log_h = (
+        log_comb(sample, xs)[:, None]
+        + log_comb(population - sample, js)[None, :]
+        - log_comb(population, np.arange(population + 1))[r_of]
+    )
+    return np.bincount(
+        r_of.ravel(), weights=(-np.exp(log_h) * log_h).ravel(), minlength=population + 1
+    )
+
+
+def _information_gain(alpha: float, beta: float, sample: int, entropy: np.ndarray) -> float:
+    """I(X; Y) = H(X) - sum_y p(y) H(X | Y = y) under a beta-binomial(alpha,
+    beta) prior on the yield Y, from ``_entropy_table``; O(population)."""
+    population = len(entropy) - 1
+    ks = np.arange(population + 1)
+    g_alpha = gammaln(alpha + ks)
+    g_beta = gammaln(beta + ks)
+    log_norm = gammaln(alpha + beta) - gammaln(alpha) - gammaln(beta)
+    log_p_y = (
+        log_norm + log_comb(population, ks) + g_alpha + g_beta[::-1]
+        - gammaln(alpha + beta + population)
+    )
+    log_p_x = (
+        log_norm + log_comb(sample, ks[: sample + 1]) + g_alpha[: sample + 1]
+        + g_beta[sample::-1] - gammaln(alpha + beta + sample)
+    )
+    return float(-np.exp(log_p_x) @ log_p_x - np.exp(log_p_y) @ entropy)
+
+
 def expected_information_gain(alpha: float, beta: float, population: int, sample: int) -> float:
     """Expected KL divergence from prior to posterior yield distribution.
 
     Averages, over the joint prior-predictive distribution of the true yield
     and the observed sample count, the log ratio of posterior to prior
-    probability.  O(population * sample) to evaluate; concave and symmetric
-    in (alpha, beta).
+    probability: the mutual information of the two counts.  A call tabulates
+    the hypergeometric entropies in O(population * sample), then evaluates the
+    prior in O(population); the solver behind ``most_conservative_prior``
+    tabulates once per design.  Concave and symmetric in (alpha, beta).
     """
     if not (alpha > 0 and beta > 0):
         raise ValueError("hyperparameters must be positive")
     if not 0 <= sample <= population:
         raise ValueError("sample must lie in [0, population]")
-    n_pop, n_smp = population, sample
-    xs = np.arange(n_smp + 1)
-    js = np.arange(n_pop - n_smp + 1)
-    r_of = xs[:, None] + js[None, :]
-
-    g_alpha = gammaln(alpha + np.arange(n_pop + 1))
-    g_beta = gammaln(beta + np.arange(n_pop + 1))
-    lc_sample = log_comb(n_smp, xs)
-    lc_rest = log_comb(n_pop - n_smp, js)
-    lc_pop = log_comb(n_pop, np.arange(n_pop + 1))
-
-    log_norm = (
-        gammaln(alpha + beta)
-        - gammaln(alpha)
-        - gammaln(beta)
-        - gammaln(alpha + beta + n_pop)
-    )
-    log_weight = (
-        log_norm
-        + lc_sample[:, None]
-        + lc_rest[None, :]
-        + g_alpha[r_of]
-        + g_beta[n_pop - r_of]
-    )
-    log_ratio = (
-        lc_rest[None, :]
-        + gammaln(alpha)
-        + gammaln(beta)
-        + gammaln(alpha + beta + n_smp)
-        - lc_pop[r_of]
-        - g_alpha[xs][:, None]
-        - g_beta[n_smp - xs][:, None]
-        - gammaln(alpha + beta)
-    )
-    return float(np.sum(np.exp(log_weight) * log_ratio))
+    return _information_gain(alpha, beta, sample, _entropy_table(population, sample))
 
 
 @functools.lru_cache(maxsize=None)
 def _solve_most_conservative(population: int, sample: int) -> float:
+    entropy = _entropy_table(population, sample)
     result = minimize_scalar(
-        lambda a: -expected_information_gain(a, a, population, sample),
+        lambda a: -_information_gain(a, a, sample, entropy),
         bounds=_SEARCH_RANGE,
         method="bounded",
         options={"xatol": 1e-4},
@@ -1015,7 +1027,9 @@ def most_conservative_prior(population: int, sample: int) -> PriorSpec:
 
     Large problems are capped before optimizing: the population at 1000 and
     the sample at 1000 - min(population - sample, 200), since the solution
-    stabilizes beyond that and the objective costs O(population * sample).
+    stabilizes beyond that.  One solve tabulates the hypergeometric entropies
+    once, in O(population * sample), and each step of the bounded search then
+    costs O(population).
     For a single-element sample the hyperparameters collapse toward zero; the
     search boundary is returned with a warning.
     """
@@ -1143,10 +1157,11 @@ def _stratum_masses(remainder: int, window, family: str, edges: np.ndarray) -> n
     a, b, lo, hi = window
     if family == BETA_JEFFREYS:
         return np.diff(betainc(a, b, np.minimum(edges / remainder, 1.0)))
-    width = np.diff(edges)
-    mass = _betabin_pmf(remainder, a, b, edges[:-1])
-    wide = np.flatnonzero(width > 1.0)
-    centre = edges[wide] + (width[wide] - 1.0) / 2.0
+    width, left = np.diff(edges), edges[:-1]
+    wide = width > 1.0
+    mass = np.empty(len(width))
+    mass[~wide] = _betabin_pmf(remainder, a, b, left[~wide])
+    centre = left[wide] + (width[wide] - 1.0) / 2.0
     half = width[wide] / (2.0 * math.sqrt(3.0))
     mass[wide] = (width[wide] / 2.0) * (
         _betabin_pmf(remainder, a, b, centre - half) + _betabin_pmf(remainder, a, b, centre + half)

@@ -12,7 +12,12 @@ from scipy.special import betaln, gammaln
 
 from recallci import evaluation
 from recallci.core import RecallProblem, SegmentData, StratumCounts, UndefinedEstimateError
-from recallci.distributions import BetaBinomialParams, beta_binomial_pmf, chi_square_1df_quantile
+from recallci.distributions import (
+    BetaBinomialParams,
+    beta_binomial_pmf,
+    chi_square_1df_quantile,
+    log_comb,
+)
 from recallci import intervals
 from recallci.intervals import (
     BETA_BINOMIAL,
@@ -484,7 +489,73 @@ class TestMonteCarloIntervals:
             MonteCarloConfig(rng=RandomStream(1), draws=500)
 
 
+def information_gain_double_sum(alpha, beta, population, sample):
+    """The expected information gain as the plain double sum over sampled and
+    unsampled relevant counts of joint mass x log(posterior / prior)."""
+    xs = np.arange(sample + 1)
+    js = np.arange(population - sample + 1)
+    r_of = xs[:, None] + js[None, :]
+    g_alpha = gammaln(alpha + np.arange(population + 1))
+    g_beta = gammaln(beta + np.arange(population + 1))
+    lc_sample = log_comb(sample, xs)
+    lc_rest = log_comb(population - sample, js)
+    lc_pop = log_comb(population, np.arange(population + 1))
+    log_weight = (
+        gammaln(alpha + beta) - gammaln(alpha) - gammaln(beta) - gammaln(alpha + beta + population)
+        + lc_sample[:, None] + lc_rest[None, :] + g_alpha[r_of] + g_beta[population - r_of]
+    )
+    log_ratio = (
+        lc_rest[None, :] + gammaln(alpha) + gammaln(beta) + gammaln(alpha + beta + sample)
+        - lc_pop[r_of] - g_alpha[xs][:, None] - g_beta[sample - xs][:, None]
+        - gammaln(alpha + beta)
+    )
+    return float(np.sum(np.exp(log_weight) * log_ratio))
+
+
 class TestMostConservativePrior:
+    @pytest.mark.parametrize(
+        "population,sample",
+        [(1, 0), (1, 1), (12, 0), (12, 12), (30, 10), (100, 20), (366, 177), (1000, 2), (1000, 800)],
+    )
+    @pytest.mark.parametrize("alpha,beta", [(0.01, 0.01), (2.0, 2.0), (0.3, 0.7), (1.7, 0.05)])
+    def test_objective_matches_double_sum(self, population, sample, alpha, beta):
+        # With nothing sampled (sample 0) the gain is 0 and both sides round
+        # to within a few ulps of it.
+        expected = information_gain_double_sum(alpha, beta, population, sample)
+        got = expected_information_gain(alpha, beta, population, sample)
+        assert got == pytest.approx(expected, rel=1e-10, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "population,sample,alpha",
+        [
+            (1000, 800, 0.48839741928714),
+            (1000, 500, 0.4544484961267101),
+            (700, 500, 0.47388262373451406),
+            (366, 177, 0.4314990302365673),
+            (100, 20, 0.29738464674430753),
+            (60, 59, 0.7826092563782658),
+            (1000, 2, 0.04109575392245347),
+        ],
+    )
+    def test_solution_pinned(self, population, sample, alpha):
+        # Literals recorded with the objective evaluated as the double sum.
+        prior = most_conservative_prior(population, sample)
+        assert prior.alpha == prior.beta
+        assert prior.alpha == pytest.approx(alpha, abs=1e-6)
+
+    def test_cold_solve_builds_one_entropy_table(self, monkeypatch):
+        built = []
+        table = intervals._entropy_table
+
+        def recording(population, sample):
+            built.append((population, sample))
+            return table(population, sample)
+
+        monkeypatch.setattr(intervals, "_entropy_table", recording)
+        alpha = intervals._solve_most_conservative.__wrapped__(700, 500)
+        assert built == [(700, 500)]
+        assert alpha == intervals._solve_most_conservative(700, 500)
+
     @pytest.mark.parametrize("population,sample", [(100, 20), (30, 10), (1000, 800), (50000, 3000), (60, 59)])
     def test_solution_in_expected_range(self, population, sample):
         prior = most_conservative_prior(population, sample)
