@@ -14,14 +14,6 @@ import os
 
 import recallci.binomial as binomial
 
-RULES = {
-    "clopper-pearson": binomial.clopper_pearson,
-    "wald": binomial.wald,
-    "wilson": binomial.wilson,
-    "agresti-coull": binomial.agresti_coull,
-    "jeffreys": binomial.jeffreys,
-}
-
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -36,7 +28,7 @@ def main() -> None:
 
     print(f"exact coverage of {args.level:.0%} intervals, n = {args.n}\n")
     print(f"{'rule':<16} {'mean':>7} {'min':>7} {'max':>7}")
-    for name, rule in RULES.items():
+    for name, rule in binomial.RULES.items():
         curve = binomial.coverage_curve(rule, args.n, args.level, grid)
         coverages = [c for _, c in curve]
         mean = sum(coverages) / len(coverages)

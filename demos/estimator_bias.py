@@ -34,11 +34,11 @@ def main() -> None:
 
     design = SampleDesign(100, 100)
     dist = exact_sampling_distribution(TRUTH, design)
-    result = estimator_bias(TRUTH, design)
+    mean = dist.mean()
 
-    print(f"true recall          {result.true_recall:.4f}")
-    print(f"estimator mean       {result.mean_estimate:.4f}")
-    print(f"bias                 {result.bias:+.4f}")
+    print(f"true recall          {TRUTH.recall:.4f}")
+    print(f"estimator mean       {mean:.4f}")
+    print(f"bias                 {mean - TRUTH.recall:+.4f}")
     print(f"mass at estimate 1.0 {dist.mass_at(1.0):.4f}  (no relevant unretrieved sampled)")
     print(f"distinct estimates   {len(dist.estimates)}")
 

@@ -23,6 +23,7 @@ __all__ = [
     "wilson",
     "agresti_coull",
     "jeffreys",
+    "RULES",
     "coverage_curve",
     "mean_coverage",
 ]
@@ -134,6 +135,16 @@ def jeffreys(sample: BinomialSample, level: float) -> ProportionInterval:
     lower = 0.0 if r == 0 else float(betaincinv(a, b, alpha / 2.0))
     upper = 1.0 if r == n else float(betaincinv(a, b, 1.0 - alpha / 2.0))
     return ProportionInterval(lower, upper, level)
+
+
+RULES: dict[str, IntervalRule] = {
+    "clopper-pearson": clopper_pearson,
+    "wald": wald,
+    "wilson": wilson,
+    "agresti-coull": agresti_coull,
+    "jeffreys": jeffreys,
+}
+"""The five interval rules by name."""
 
 
 def coverage_curve(

@@ -26,7 +26,6 @@ from . import binomial
 from .core import (
     RealizationTruth,
     SampleDesign,
-    estimator_bias,
     exact_sampling_distribution,
 )
 from .evaluation import (
@@ -54,14 +53,6 @@ from .scenarios import (
     sample_realization,
 )
 from .streams import RandomStream
-
-_BINOMIAL_METHODS = {
-    "clopper-pearson": binomial.clopper_pearson,
-    "wald": binomial.wald,
-    "wilson": binomial.wilson,
-    "agresti-coull": binomial.agresti_coull,
-    "jeffreys": binomial.jeffreys,
-}
 
 
 def _positive_int(text: str) -> int:
@@ -192,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_des.set_defaults(func=_cmd_design)
 
     p_bin = sub.add_parser("binom", help="exact binomial interval coverage curve")
-    p_bin.add_argument("--method", choices=sorted(_BINOMIAL_METHODS), required=True)
+    p_bin.add_argument("--method", choices=sorted(binomial.RULES), required=True)
     p_bin.add_argument("--n", type=_positive_int, required=True, help="sample size")
     p_bin.add_argument("--level", type=_level, default=0.95)
     p_bin.add_argument("--points", type=_positive_int, default=9999, help="grid size")
@@ -288,7 +279,7 @@ def _cmd_bias(args) -> int:
     s1, s0 = _int_tuple(args.design, 2, "--design")
     design = SampleDesign(s1, s0)
     dist = exact_sampling_distribution(truth, design)
-    result = estimator_bias(truth, design)
+    mean = dist.mean()
     if args.output:
         from .io import write_distribution_csv
 
@@ -298,8 +289,8 @@ def _cmd_bias(args) -> int:
             header_note=f"truth={args.truth} design={args.design}",
         )
     print(
-        f"true {result.true_recall:.6f}  mean {result.mean_estimate:.6f}  "
-        f"bias {result.bias:+.6f}  undefined_mass {dist.undefined_mass:.6e}"
+        f"true {truth.recall:.6f}  mean {mean:.6f}  "
+        f"bias {mean - truth.recall:+.6f}  undefined_mass {dist.undefined_mass:.6e}"
     )
     return 0
 
@@ -331,7 +322,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_binom(args) -> int:
-    rule = _BINOMIAL_METHODS[args.method]
+    rule = binomial.RULES[args.method]
     grid = [i / (args.points + 1) for i in range(1, args.points + 1)]
     curve = binomial.coverage_curve(rule, args.n, args.level, grid)
     lines = [

@@ -138,8 +138,7 @@ class RecallInterval:
     def __post_init__(self) -> None:
         if not 0.0 <= self.lower <= self.upper <= 1.0:
             raise ValueError("interval must satisfy 0 <= lower <= upper <= 1")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("confidence level must lie strictly inside (0, 1)")
+        _check_level(self.level)
 
     @property
     def width(self) -> float:
@@ -149,9 +148,13 @@ class RecallInterval:
         return self.lower <= value <= self.upper
 
 
-def _z_value(level: float) -> float:
+def _check_level(level: float) -> None:
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly inside (0, 1)")
+
+
+def _z_value(level: float) -> float:
+    _check_level(level)
     return normal_quantile(1.0 - (1.0 - level) / 2.0)
 
 
@@ -378,6 +381,7 @@ def koopman_bounds(batch: CountBatch, level: float) -> tuple[np.ndarray, np.ndar
     one on recall with the endpoints reversed.  The method has no extension
     to stratified sampling and rejects stratified batches.
     """
+    _check_level(level)
     if any(len(strata) > 1 for strata in batch.strata):
         raise ValueError(
             "the koopman interval does not extend to stratified sampling; "
@@ -452,8 +456,7 @@ def _posterior_frame(kernel, batch: CountBatch, level: float, family: str, prior
     that hold a relevant document, given the tail probability and each stratum's
     prior, resolved once: None under ``beta-jeffreys`` and without an unsampled
     remainder, and never for a batch of (0, 0) samples."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie strictly inside (0, 1)")
+    _check_level(level)
     if family not in (BETA_JEFFREYS, BETA_BINOMIAL):
         raise ValueError(f"unknown posterior family: {family!r}")
     r1s, r0s = batch.totals()
@@ -523,8 +526,7 @@ def monte_carlo_interval(
     """
     if config is None:
         raise ValueError("monte carlo interval estimation requires a MonteCarloConfig")
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie strictly inside (0, 1)")
+    _check_level(level)
     segments = (problem.retrieved, problem.unretrieved)
     r1, r0 = (segment.total_relevant_sampled for segment in segments)
     lower, upper = 0.0, 1.0

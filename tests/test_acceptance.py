@@ -3,7 +3,9 @@
 Each test prints one ``ACCEPTANCE <name>: PASS/FAIL`` line (visible with
 ``pytest -s`` or on failure).  The reduced-scale coverage study (three
 scenarios at 200 realizations x 500 samples) is computed once in a module
-fixture and shared by the criteria that read it; expect a few minutes.
+fixture and shared by the criteria that read it; expect a few minutes.  It is
+the README's reference study, and its files must equal the committed
+``demos/out/study_*`` byte for byte.
 """
 
 import time
@@ -29,7 +31,13 @@ from recallci.distributions import (
     hypergeom_pmf,
     hypergeom_successor_ratio,
 )
-from recallci.evaluation import EvalConfig, coverage_rmse, evaluate_coverage
+from recallci.evaluation import (
+    EvalConfig,
+    coverage_rmse,
+    evaluate_coverage,
+    write_long_csv,
+    write_summary_json,
+)
 from recallci.intervals import (
     BETA_BINOMIAL,
     MonteCarloConfig,
@@ -41,6 +49,7 @@ from recallci.intervals import (
 )
 from recallci.scenarios import builtin_scenario, sample_realization_with_variables
 from recallci.streams import RandomStream
+from reference_outputs import assert_matches_committed
 
 STUDY_SEED = 20130217
 STUDY_REALIZATIONS = 200
@@ -130,6 +139,16 @@ def test_mean_interval_widths(coverage_reports):
                 name,
                 agg["mean_width"],
             )
+
+
+def test_reference_study_files(coverage_reports, tmp_path):
+    with criterion("reference-study-files"):
+        names = []
+        for name in ("neutral", "legal", "small"):
+            write_long_csv(coverage_reports[name], tmp_path / f"study_{name}.csv")
+            write_summary_json(coverage_reports[name], tmp_path / f"study_{name}.json")
+            names += [f"study_{name}.csv", f"study_{name}.json"]
+        assert_matches_committed(tmp_path, names)
 
 
 def _exhaustive_posterior_quantiles(n1_pop, s1, r1, n0_pop, s0, r0, prior, level):

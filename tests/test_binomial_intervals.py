@@ -16,8 +16,6 @@ from recallci.binomial import (
     wilson,
 )
 
-ALL_RULES = [clopper_pearson, wald, wilson, agresti_coull, jeffreys]
-
 
 class TestClopperPearson:
     def test_zero_count_closed_form(self):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from recallci import cli, core
 from recallci.cli import main
 from recallci.intervals import METHODS, MONTE_CARLO_METHODS
 from recallci.scenarios import builtin_scenario
@@ -282,6 +283,22 @@ class TestBias:
         assert rows[0] == "estimate,probability"
         total = sum(float(r.split(",")[1]) for r in rows[1:])
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_enumerates_the_distribution_once(self, monkeypatch, capsys):
+        calls = []
+        enumerate_once = core.exact_sampling_distribution
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_once(*args)
+
+        monkeypatch.setattr(core, "exact_sampling_distribution", counted)
+        monkeypatch.setattr(cli, "exact_sampling_distribution", counted)
+        assert main(["bias", "--truth", "2000,1000,100000,3000", "--design", "100,100"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == (
+            "true 0.250000  mean 0.314225  bias +0.064225  undefined_mass 2.765907e-33\n"
+        )
 
     def test_census_has_zero_bias(self, capsys):
         rc = main(["bias", "--truth", "50,20,200,30", "--design", "50,200"])

@@ -956,6 +956,14 @@ class TestExactBetaBinomial:
                 compute_interval("betabin-half", problem, level, mc_config(1, draws=1000))
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("level", (-0.5, 0.0, 1.0, 1.5))
+def test_every_method_rejects_levels_outside_unit_interval(method, level):
+    batch = CountBatch.of_problem(AUDIT_PROBLEM)
+    with pytest.raises(ValueError, match="strictly inside"):
+        interval_bounds(method, batch, level)
+
+
 class TestStratifiedBatch:
     def test_stratified_batch_equals_each_sample_alone(self):
         # Large remainders; few distinct counts per stratum, so samples share
