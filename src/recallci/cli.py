@@ -38,7 +38,7 @@ from .evaluation import (
     write_long_csv,
     write_summary_json,
 )
-from .intervals import METHODS, MONTE_CARLO_METHODS, MonteCarloConfig, compute_interval
+from .intervals import METHODS, POSTERIOR_METHODS, MonteCarloConfig, compute_interval
 from .io import (
     ProblemFormatError,
     dump_records,
@@ -224,7 +224,7 @@ def _cmd_interval(args) -> int:
     records = []
     for method in methods:
         interval = compute_interval(method, problem, args.level)
-        records.append(interval_record(interval, echo if method in MONTE_CARLO_METHODS else None))
+        records.append(interval_record(interval, echo if method in POSTERIOR_METHODS else None))
     _write_or_print(dump_records(records), args.output)
     return 0
 

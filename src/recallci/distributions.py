@@ -138,6 +138,8 @@ def normal_quantile(q: float) -> float:
 
 def chi_square_1df_quantile(q: float) -> float:
     """Quantile of the chi-square distribution with one degree of freedom."""
+    if not 0.0 <= q < 1.0:
+        raise ValueError("quantile argument must lie in [0, 1)")
     z = normal_quantile((1.0 + q) / 2.0)
     return z * z
 

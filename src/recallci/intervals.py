@@ -46,6 +46,7 @@ the coverage harness and the design tools on their simulated samples.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -70,7 +71,7 @@ __all__ = [
     "METHODS",
     "METHOD_TABLE",
     "MethodSpec",
-    "MONTE_CARLO_METHODS",
+    "POSTERIOR_METHODS",
     "NORMAL_ADJUSTMENTS",
     "PriorSpec",
     "MonteCarloConfig",
@@ -1060,13 +1061,16 @@ def most_conservative_prior(population: int, sample: int) -> PriorSpec:
 # strata in the sums of their blocks.  Every block is spread over the two
 # nearest nodes of the lattice u = j * h of log-yields, in the proportions
 # that keep its mean log-yield, and one convolution of the two node tables
-# gives the distribution of the logit on the same lattice.  Its running sums, less a second-difference
-# correction for the variance that the spreading adds, are the CDF of logit R
-# midway between nodes; the equal-tail quantiles are read off by inverse
-# cubic interpolation and mapped back through the logistic function.  A yield
-# of 0 is a point mass at R = 0 or R = 1.  h depends on the pair alone, and
-# each pair is computed on its own, so a batch gives the same bits as each
-# of its samples alone.
+# gives the distribution of the logit on the same lattice.  Its running sums,
+# less a second-difference correction for the variance that the spreading
+# adds, are the CDF of logit R midway between nodes; the equal-tail quantiles
+# are read off by inverse cubic interpolation and mapped back through the
+# logistic function.  A yield of 0 is a point mass at R = 0 or R = 1.
+#
+# h depends on the pair alone.  Pairs of one h are read together: each pair's
+# convolution is its own, and the reader stacks them, zero-padded in front,
+# and runs the same IEEE operations on every row that a pair alone would, so
+# a batch gives the same bits as each of its samples alone.
 # ---------------------------------------------------------------------------
 
 _LATTICE_TAIL = 1e-16  # posterior mass a stratum window leaves out on either side
@@ -1101,6 +1105,7 @@ class _LogYields(NamedTuple):
     mass: np.ndarray
     spread: np.ndarray  # variance of the log-yield within each block
     zero: float  # mass at a yield of 0
+    total: float  # np.sum(mass)
     mean: float
     sd: float
 
@@ -1145,7 +1150,10 @@ def _block_edges(remainder: int, r: int, window, family: str, per_sd: int, most:
     width = max(min(cv, 1.0) / per_sd, span / most)
     edges = start * np.exp(width * np.arange(math.ceil(span / width) + 1)) - r
     edges[[0, -1]] = start - r, end - r
-    return np.unique(np.concatenate([[lo], np.floor(edges) if discrete else edges]))
+    edges = np.concatenate([[lo], np.floor(edges) if discrete else edges])
+    if edges[1] < edges[0]:  # r + lo rounds, so start - r can fall an ulp below lo
+        edges[:2] = edges[1], edges[0]
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
 def _stratum_masses(remainder: int, window, family: str, edges: np.ndarray) -> np.ndarray:
@@ -1161,13 +1169,15 @@ def _stratum_masses(remainder: int, window, family: str, edges: np.ndarray) -> n
         return np.diff(betainc(a, b, np.minimum(edges / remainder, 1.0)))
     width, left = np.diff(edges), edges[:-1]
     wide = width > 1.0
+    one = ~wide
+    span = width[wide]
+    centre = left[wide] + (span - 1.0) / 2.0
+    half = span / (2.0 * math.sqrt(3.0))
+    single, points = np.count_nonzero(one), len(span)
+    pmf = _betabin_pmf(remainder, a, b, np.concatenate([left[one], centre - half, centre + half]))
     mass = np.empty(len(width))
-    mass[~wide] = _betabin_pmf(remainder, a, b, left[~wide])
-    centre = left[wide] + (width[wide] - 1.0) / 2.0
-    half = width[wide] / (2.0 * math.sqrt(3.0))
-    mass[wide] = (width[wide] / 2.0) * (
-        _betabin_pmf(remainder, a, b, centre - half) + _betabin_pmf(remainder, a, b, centre + half)
-    )
+    mass[one] = pmf[:single]
+    mass[wide] = (span / 2.0) * (pmf[single : single + points] + pmf[single + points :])
     if hi == remainder:
         cut = edges[-min(_END_BLOCKS, len(width)) - 1 :].astype(np.int64)
         atoms = _betabin_pmf(remainder, a, b, np.arange(cut[0], cut[-1]))
@@ -1206,6 +1216,7 @@ def _segment_log_yields(strata, vector, family: str, specs) -> _LogYields:
     discrete = float(family == BETA_BINOMIAL)
     centre, mass, spread = np.zeros(1), np.ones(1), np.zeros(1)
     zero = 1.0  # a yield of 0 takes no relevant count, sampled or not, in any stratum
+    summed = False  # whether blocks of two strata were summed
     # Strata that are summed take coarser blocks, a sum being smoother than its parts.
     per_sd, most = (_BLOCKS_PER_SD, _MAX_BLOCKS) if len(strata) == 1 else (32, 512)
     for (population, sample), r, spec in zip(strata, vector, specs):
@@ -1222,90 +1233,241 @@ def _segment_log_yields(strata, vector, family: str, specs) -> _LogYields:
             # bounds near level 1 at 0 or 1.  A window from 0 starts with the count 0.
             part = part / np.sum(part)
         zero *= part[0] if discrete and r == window[2] == 0 else 0.0
+        # One stratum's blocks increase, shifted by any census strata; sums of two do not.
+        summed |= len(centre) > 1
         centre = (centre[:, None] + (r + edges[:-1] + (width - discrete) / 2.0)).ravel()
         mass = (mass[:, None] * part).ravel()
         spread = (spread[:, None] + (width**2 - discrete) / 12.0).ravel()
         if len(centre) > _SUM_POINTS:
             centre, mass, spread = _merge_blocks(centre, mass, spread)
     keep = (centre > 0.0) & (mass > 0.0)
-    order = np.argsort(centre[keep], kind="stable")
-    y, mass = centre[keep][order], mass[keep][order]
-    log_y, spread = np.log(y), spread[keep][order] / (y * y)
+    y, mass, spread = centre[keep], mass[keep], spread[keep]
+    if summed:
+        order = np.argsort(y, kind="stable")
+        y, mass, spread = y[order], mass[order], spread[order]
+    log_y, spread = np.log(y), spread / (y * y)
     total = np.sum(mass)
     if not total > 0.0:
-        return _LogYields(log_y, mass, spread, zero, 0.0, 0.0)
+        return _LogYields(log_y, mass, spread, zero, total, 0.0, 0.0)
     mean = np.sum(mass * log_y) / total
     sd = math.sqrt(np.sum(mass * ((log_y - mean) ** 2 + spread)) / total)
-    return _LogYields(log_y, mass, spread, zero, float(mean), sd)
+    return _LogYields(log_y, mass, spread, zero, total, float(mean), sd)
 
 
-def _nodes(seg: _LogYields, h: float) -> tuple[int, np.ndarray, float]:
-    """First node, node masses and added log-yield variance of a segment on the lattice."""
-    reach = _LOG_SPAN * seg.sd
-    x = np.clip(seg.log_yield, seg.mean - reach, seg.mean + reach) / h
-    j = np.floor(x)
-    d = x - j
-    first = int(j[0])
-    idx = (j - first).astype(np.int64)
-    size = int(idx[-1]) + 2
-    nodes = np.bincount(idx, seg.mass * (1.0 - d), size) + np.bincount(idx + 1, seg.mass * d, size)
-    # A block wider than a node gap (a coarse one, at small yields) counts as
-    # one spread evenly over the gap.
-    spread = np.minimum(seg.spread, h * h / 12.0)
-    added = np.sum(seg.mass * (d * (1.0 - d) * h * h - spread)) / np.sum(seg.mass)
-    return first, nodes, float(added)
+def _stacks(lengths: list[int]) -> list[list[int]]:
+    """Indices in order of decreasing length, in stacks whose size times its
+    longest length is at most ``_CHUNK_CELLS``; a longer item stands alone."""
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    stacks, start = [], 0
+    while start < len(order):
+        stacks.append(order[start : start + max(1, _CHUNK_CELLS // lengths[order[start]])])
+        start += len(stacks[-1])
+    return stacks
 
 
-def _lattice_quantiles(seg1: _LogYields, seg0: _LogYields, tables, targets) -> list[float]:
-    """Posterior quantiles of recall at each target probability.
+def _nodes(segs: list[_LogYields], h: float) -> list[tuple[int, np.ndarray, float]]:
+    """First node, node masses and added log-yield variance of each segment on the lattice.
 
-    ``tables(h)`` gives the two segments' node tables on the lattice of step h.
+    A stack of segments takes one pair of bincounts, each segment's table at
+    its own offset, and one sum per segment for the added variance.
     """
-    if not len(seg1.mass):
-        return [0.0] * len(targets)  # no positive yield Y1: R = 0
-    if not len(seg0.mass):
-        return [1.0] * len(targets)  # no positive yield Y0: R = 1
-    sd = math.hypot(seg1.sd, seg0.sd)
-    if sd == 0.0:
-        return [1.0 / (1.0 + math.exp(seg0.mean - seg1.mean))] * len(targets)
-    h = 2.0 ** math.floor(math.log2(sd / _LOGIT_STEPS))
-    (first1, table1, added1), (first0, table0, added0) = tables(h)
-    pmf = np.convolve(table1, table0[::-1])
-    # cdf[1 + i] is the mass of logit R at or below node first + i.
-    first = first1 - first0 - len(table0) + 1
-    below = seg1.zero + np.cumsum(pmf)
-    cdf = np.concatenate(([seg1.zero], below, below[-1:]))
-    # Midway between nodes, less the variance the spreading added.
-    coef = ((added1 + added0) / 2.0 - h * h / 24.0) / (h * h)
-    f = cdf[1:-1] - coef * (cdf[2:] - 2.0 * cdf[1:-1] + cdf[:-2])
-    out = []
-    for p in targets:
-        if seg1.zero >= p or below[-1] < p:
-            out.append(0.0 if seg1.zero >= p else 1.0)
-            continue
-        i = max(int(np.argmax(f >= p)), 1)
-        start = min(max(i - 2, 0), len(f) - 4)
-        t = math.nan
-        if start >= 0:
-            near = f[start : start + 4].tolist()
-            if near[0] < near[1] < near[2] < near[3]:
-                t = start + _inverse_cubic(near, p)
-        if not i - 1 <= t <= i:
-            t = i - 1 + (p - f[i - 1]) / (f[i] - f[i - 1])
-        out.append(1.0 / (1.0 + math.exp(-(first + 0.5 + t) * h)))
+    out = [None] * len(segs)
+    for rows in _stacks([len(seg.mass) for seg in segs]):
+        stack = [segs[r] for r in rows]
+        ends = list(itertools.accumulate(len(seg.mass) for seg in stack))
+        begins = [0, *ends[:-1]]
+        x = np.concatenate([seg.log_yield for seg in stack])
+        for seg, begin, end in zip(stack, begins, ends):
+            # Log-yields increase: only a segment's ends can lie beyond its reach.
+            part, reach = x[begin:end], _LOG_SPAN * seg.sd
+            if part[0] < seg.mean - reach or part[-1] > seg.mean + reach:
+                np.clip(part, seg.mean - reach, seg.mean + reach, out=part)
+        x /= h
+        j = np.floor(x)
+        d = x - j
+        idx = j.astype(np.int64)
+        firsts, lasts = idx[begins].tolist(), idx[[end - 1 for end in ends]].tolist()
+        sizes = [last - first + 2 for first, last in zip(firsts, lasts)]
+        offsets = list(itertools.accumulate(sizes, initial=0))
+        idx -= np.repeat(
+            [first - offset for first, offset in zip(firsts, offsets)],
+            [end - begin for begin, end in zip(begins, ends)],
+        )
+        mass = np.concatenate([seg.mass for seg in stack])
+        rest = 1.0 - d
+        nodes = np.bincount(idx, mass * rest, offsets[-1]) + np.bincount(
+            idx + 1, mass * d, offsets[-1]
+        )
+        # A block wider than a node gap (a coarse one, at small yields) counts as
+        # one spread evenly over the gap.
+        spread = np.minimum(np.concatenate([seg.spread for seg in stack]), h * h / 12.0)
+        added = mass * (d * rest * h * h - spread)
+        for r, seg, first, lo, hi, begin, end in zip(
+            rows, stack, firsts, offsets, offsets[1:], begins, ends
+        ):
+            out[r] = first, nodes[lo:hi], float(added[begin:end].sum() / seg.total)
     return out
 
 
-def _inverse_cubic(f: list[float], p: float) -> float:
-    """Where increasing samples f at 0, 1, 2, 3 reach p, by a cubic in f."""
-    value = 0.0
-    for a in range(1, 4):
-        weight = float(a)
-        for b in range(4):
-            if b != a:
-                weight *= (p - f[b]) / (f[a] - f[b])
-        value += weight
-    return value
+def _point_recall(seg1: _LogYields, seg0: _LogYields) -> float | None:
+    """R where the pair's posterior is a point mass, else None."""
+    if not len(seg1.mass):
+        return 0.0  # no positive yield Y1: R = 0
+    if not len(seg0.mass):
+        return 1.0  # no positive yield Y0: R = 1
+    if seg1.sd == seg0.sd == 0.0:
+        return 1.0 / (1.0 + math.exp(seg0.mean - seg1.mean))
+    return None
+
+
+def _lattice_quantiles(h: float, pairs, targets) -> np.ndarray:
+    """Posterior quantiles of recall at each target probability, one row per pair.
+
+    ``pairs`` holds, for each pair on the lattice of step h, the posterior
+    mass of Y1 at 0 and the two segments' ``_nodes``.  Pairs are read in
+    stacks of at most ``_CHUNK_CELLS`` cells, longest first.
+    """
+    out = np.empty((len(pairs), len(targets)))
+    for rows in _stacks([len(t1) + len(t0) - 1 for _, (_, t1, _), (_, t0, _) in pairs]):
+        stack = [pairs[r] for r in rows]
+        crossings = _stack_quantiles(
+            [np.convolve(t1, t0[::-1]) for _, (_, t1, _), (_, t0, _) in stack],
+            [zero for zero, _, _ in stack],
+            # Midway between nodes, less the variance the spreading added.
+            [((a1 + a0) / 2.0 - h * h / 24.0) / (h * h) for _, (_, _, a1), (_, _, a0) in stack],
+            targets,
+        )
+        for r, (zero, (first1, _, _), (first0, table0, _)), ts in zip(rows, stack, crossings):
+            # The convolution's entry i is the mass of logit R at node first + i.
+            first = first1 - first0 - len(table0) + 1
+            # math.exp, as for a pair alone: np.exp may differ in the last bit.
+            out[r] = [
+                0.0 if zero >= p else 1.0 if t is None
+                else 1.0 / (1.0 + math.exp(-(first + 0.5 + t) * h))
+                for p, t in zip(targets, ts)
+            ]
+    return out
+
+
+def _stack_quantiles(pmfs, zeros, coefs, targets) -> list[list[float | None]]:
+    """Where the CDF of logit R reaches each target, in nodes, for a stack of
+    pmfs of one h, longest first; None where it is not read.
+
+    As for a pair alone, a target is not read where the mass of Y1 at 0
+    reaches it (R = 0) or the total mass falls short of it (R = 1).  Row r
+    holds pmf r's running sums after as many zeros as the pmf is shorter than
+    the first, which leaves their bits as they are: column pad + i holds the
+    CDF at node i.  A stack of one pair reads its whole row.  In a larger one
+    the second-difference CDF f is taken in a window of columns from where
+    the running sums show f below the target at every earlier node: f
+    differs from the CDF by at most |coef| times the larger of two adjacent
+    node masses, so by at most |coef| times the largest mass, and f stays
+    below (1 + |coef|) times the CDF one node on.  A window that misses the
+    crossing or a node the interpolation reads is read again over the whole
+    row.
+    """
+    n, width = len(pmfs), len(pmfs[0])
+    pad = [width - len(pmf) for pmf in pmfs]
+    cdf = np.zeros((n, width + 2))
+    for r, pmf in enumerate(pmfs):
+        cdf[r, pad[r] + 1 : -1] = pmf
+    peak = cdf.max(axis=1) if n > 1 else None
+    np.cumsum(cdf[:, 1:-1], axis=1, out=cdf[:, 1:-1])
+    for r, zero in enumerate(zeros):
+        cdf[r, : pad[r] + 1] = zero
+        if zero:
+            cdf[r, pad[r] + 1 : -1] += zero
+    cdf[:, -1] = cdf[:, -2]
+    total = cdf[:, -2].tolist()
+    t = [[None] * len(targets) for _ in range(n)]
+    todo = [
+        (r, k) for r in range(n) for k, p in enumerate(targets)
+        if not (zeros[r] >= p or total[r] < p)
+    ]
+    if n > 1 and todo:
+        rows, p = np.array([r for r, _ in todo], np.int64), np.array([targets[k] for _, k in todo])
+        rows_pad, coef = np.array(pad)[rows], np.array(coefs)[rows]
+        # f is below the target wherever the CDF one node on is below ``bar``,
+        # with room for rounding.
+        slack = 1.0 - 2.0**-40
+        scale = np.abs(coef)
+        bar = slack * np.maximum(
+            p / (1.0 + scale), p - scale * peak[rows] - (1.0 - slack) * cdf[rows, -2]
+        )
+        # f is below the target at every node before node clear - 1; the
+        # interpolation reads up to three nodes before the crossing.
+        clear = np.maximum(np.count_nonzero(cdf[rows, 1:-1] < bar[:, None], axis=1) - rows_pad, 0)
+        cols = min(16, width)
+        first = np.minimum(rows_pad + np.maximum(clear - 4, 0), width - cols)
+        reads = _window_quantiles(cdf, rows, rows_pad, coef, p, first, cols)
+        for (r, k), value in zip(todo, reads):
+            t[r][k] = value
+    for r, k in todo:
+        if t[r][k] is None:  # the whole row holds every node
+            t[r][k] = _row_quantile(cdf[r, pad[r] :], coefs[r], targets[k])
+    return t
+
+
+def _row_quantile(cdf: np.ndarray, coef: float, p: float) -> float:
+    """Where the second-difference CDF of one pair, from its CDF (mass at
+    0, running sums, the last sum again), reaches p, read over the row."""
+    f = cdf[1:-1] - coef * (cdf[2:] - 2.0 * cdf[1:-1] + cdf[:-2])
+    node = int(np.argmax(f >= p))  # node 0 where none reaches p
+    base = max(node - 3, 0)
+    return _crossing(f[base : max(node, 1) + 3].tolist(), -base, len(f), node, p)
+
+
+def _window_quantiles(cdf, rows, pad, coef, p, first, cols) -> list[float | None]:
+    """Where f of each row reaches its target p, read as for a pair alone,
+    from f on ``cols`` columns from ``first``; None where the window misses
+    a node that reading needs."""
+    g = cdf[rows[:, None], first[:, None] + np.arange(cols + 2)]
+    f = g[:, 1:-1] - coef[:, None] * (g[:, 2:] - 2.0 * g[:, 1:-1] + g[:, :-2])
+    origin = pad - first  # the window column of node 0
+    hit = (f >= p[:, None]) & (np.arange(cols) >= origin[:, None])
+    # The first node where f reaches p, or none (-1) before the window's end.
+    node = np.where(hit.any(axis=1), hit.argmax(axis=1) - origin, -1)
+    # Where no node reaches p, a pair alone takes node 0; only a window up to
+    # the row's end shows that none does.
+    ends = first + cols == cdf.shape[1] - 2
+    length = cdf.shape[1] - 2 - pad
+    return [
+        _crossing(values, o, size, i, target) if i >= 0 or end else None
+        for values, o, size, i, target, end in zip(
+            f.tolist(), origin.tolist(), length.tolist(), node.tolist(), p.tolist(), ends.tolist()
+        )
+    ]
+
+
+def _crossing(f: list[float], origin: int, length: int, node: int, p: float) -> float | None:
+    """Where the second-difference CDF reaches p between nodes, as a pair
+    alone reads it: by the inverse cubic through the four nodes around the
+    first ``node`` where f reaches p (at least node 1), else linearly.  f
+    holds a window of it with node 0 at ``origin``; None where the window
+    misses a node this reads."""
+    i = max(node, 1)
+    start = min(max(i - 2, 0), length - 4)
+    lo, hi = (start, start + 3) if start >= 0 else (i - 1, i)
+    if origin + lo < 0 or origin + hi >= len(f):
+        return None
+    t = math.nan
+    if start >= 0:
+        f0, f1, f2, f3 = f[origin + start : origin + start + 4]
+        if f0 < f1 < f2 < f3:
+            # The Lagrange cubic in f through the four nodes, at p: node a
+            # weighs a times (p - f_b) / (f_a - f_b) over b != a, in b order.
+            q0, q1, q2, q3 = p - f0, p - f1, p - f2, p - f3
+            t = start + (
+                0.0
+                + q0 / (f1 - f0) * (q2 / (f1 - f2)) * (q3 / (f1 - f3))
+                + 2.0 * (q0 / (f2 - f0)) * (q1 / (f2 - f1)) * (q3 / (f2 - f3))
+                + 3.0 * (q0 / (f3 - f0)) * (q1 / (f3 - f1)) * (q2 / (f3 - f2))
+            )
+    if not i - 1 <= t <= i:
+        below, above = f[origin + i - 1], f[origin + i]
+        # IEEE division: equal f at both nodes gives an infinity or NaN, not an error.
+        t = i - 1 + np.float64(p - below) / (above - below)
+    return t
 
 
 def _betabin_yield_sd(strata, vector, specs) -> float:
@@ -1349,21 +1511,34 @@ def posterior_bounds(
         def posterior(side: int, vector) -> _LogYields:
             return _segment_log_yields(batch.strata[side], vector, family, specs[side])
 
-        @functools.cache
-        def nodes(side: int, vector, h: float):
-            return _nodes(posterior(side, vector), h)
-
-        exact = []
+        exact, groups = [], {}
         for (v1, v0), ks in pairs.items():
             if family == BETA_BINOMIAL:
                 sds = yield_sd(0, v1), yield_sd(1, v0)
                 if sds[0] * sds[1] < _LATTICE_ATOMS_MIN and max(sds) <= _EXACT_SD_MAX:
                     exact += ks
                     continue
-            lower[ks], upper[ks] = _lattice_quantiles(
-                posterior(0, v1), posterior(1, v0),
-                lambda h: (nodes(0, v1, h), nodes(1, v0, h)), (tail, 1.0 - tail),
+            seg1, seg0 = posterior(0, v1), posterior(1, v0)
+            point = _point_recall(seg1, seg0)
+            if point is not None:
+                lower[ks], upper[ks] = point, point
+                continue
+            h = 2.0 ** math.floor(math.log2(math.hypot(seg1.sd, seg0.sd) / _LOGIT_STEPS))
+            groups.setdefault(h, []).append((v1, v0, ks))
+        for h, members in groups.items():
+            nodes = [
+                dict(zip(vectors, _nodes([posterior(side, v) for v in vectors], h)))
+                for side, vectors in enumerate(
+                    dict.fromkeys(member[side] for member in members) for side in (0, 1)
+                )
+            ]
+            bounds = _lattice_quantiles(
+                h,
+                [(posterior(0, v1).zero, nodes[0][v1], nodes[1][v0]) for v1, v0, _ in members],
+                (tail, 1.0 - tail),
             )
+            index = [k for _, _, ks in members for k in ks]
+            lower[index], upper[index] = np.repeat(bounds, [len(m[2]) for m in members], axis=0).T
         if exact:
             _exact_bounds(batch, lower, upper, np.array(sorted(exact)), specs, tail)
 
@@ -1392,7 +1567,7 @@ METHOD_TABLE = {
 
 METHODS = tuple(METHOD_TABLE)
 
-MONTE_CARLO_METHODS = frozenset(
+POSTERIOR_METHODS = frozenset(
     tag for tag, spec in METHOD_TABLE.items() if spec.kernel is posterior_bounds
 )
 """Methods whose bounds are posterior quantiles (``posterior_bounds``)."""

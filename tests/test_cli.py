@@ -6,7 +6,7 @@ import pytest
 
 from recallci import cli, core
 from recallci.cli import main
-from recallci.intervals import METHODS, MONTE_CARLO_METHODS
+from recallci.intervals import METHODS, POSTERIOR_METHODS
 from recallci.scenarios import builtin_scenario
 
 PROBLEM_CSV = """segment,stratum,population,sample,relevant
@@ -400,7 +400,7 @@ class TestMonteCarloSeeding:
                 "9000000,400,11", "--seed", "7", "--draws", "2000"]
         assert main(base) == 0
         nine = {r["method"]: r for r in json.loads(capsys.readouterr().out)}
-        for method in MONTE_CARLO_METHODS:
+        for method in POSTERIOR_METHODS:
             assert main(base + ["--method", method]) == 0
             assert json.loads(capsys.readouterr().out) == [nine[method]]
         assert main(base + ["--method", "koopman,betabin-half"]) == 0

@@ -146,6 +146,11 @@ class TestChiSquareQuantile:
     def test_median(self):
         assert chi_square_1df_quantile(0.5) == pytest.approx(0.4549, abs=5e-5)
 
+    @pytest.mark.parametrize("q", [-0.5, -1e-12, 1.0, 1.5, float("nan")])
+    def test_rejects_q_outside_unit_interval(self, q):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            chi_square_1df_quantile(q)
+
     @given(q=st.floats(0.001, 0.999))
     @settings(max_examples=40, deadline=None)
     def test_equals_squared_normal_quantile(self, q):

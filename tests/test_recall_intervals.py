@@ -24,7 +24,6 @@ from recallci.intervals import (
     BETA_JEFFREYS,
     METHOD_TABLE,
     METHODS,
-    MONTE_CARLO_METHODS,
     NORMAL_ADJUSTMENTS,
     CountBatch,
     MonteCarloConfig,
@@ -48,8 +47,8 @@ from recallci.scenarios import builtin_scenario
 from recallci.streams import RandomStream
 
 AUDIT_PROBLEM = RecallProblem.simple(2000, 100, 50, 100000, 100, 3)
-CLOSED_FORM_METHODS = tuple(m for m in METHODS if m not in MONTE_CARLO_METHODS)
-POSTERIOR_METHODS = tuple(m for m in METHODS if m in MONTE_CARLO_METHODS)
+CLOSED_FORM_METHODS = tuple(m for m in METHODS if m not in intervals.POSTERIOR_METHODS)
+POSTERIOR_METHODS = tuple(m for m in METHODS if m in intervals.POSTERIOR_METHODS)
 
 
 def prior_of(method):
@@ -1097,6 +1096,41 @@ def reference_mass_below(method, problem, bound, draws=10**7, chunk=10**6, seed=
     return below / draws
 
 
+def scalar_lattice_quantiles(h, zero, nodes1, nodes0, targets):
+    """The lattice reader on one pair, one target at a time: the reference
+    for ``intervals._lattice_quantiles``, which reads pairs in stacks."""
+    (first1, table1, added1), (first0, table0, added0) = nodes1, nodes0
+    pmf = np.convolve(table1, table0[::-1])
+    first = first1 - first0 - len(table0) + 1
+    below = zero + np.cumsum(pmf)
+    cdf = np.concatenate(([zero], below, below[-1:]))
+    coef = ((added1 + added0) / 2.0 - h * h / 24.0) / (h * h)
+    f = cdf[1:-1] - coef * (cdf[2:] - 2.0 * cdf[1:-1] + cdf[:-2])
+    out = []
+    for p in targets:
+        if zero >= p or below[-1] < p:
+            out.append(0.0 if zero >= p else 1.0)
+            continue
+        i = max(int(np.argmax(f >= p)), 1)
+        start = min(max(i - 2, 0), len(f) - 4)
+        t = math.nan
+        if start >= 0:
+            near = f[start : start + 4].tolist()
+            if near[0] < near[1] < near[2] < near[3]:
+                value = 0.0  # where p falls by the cubic in f through the four nodes
+                for a in range(1, 4):
+                    weight = float(a)
+                    for b in range(4):
+                        if b != a:
+                            weight *= (p - near[b]) / (near[a] - near[b])
+                    value += weight
+                t = start + value
+        if not i - 1 <= t <= i:
+            t = i - 1 + (p - f[i - 1]) / (f[i] - f[i - 1])
+        out.append(1.0 / (1.0 + math.exp(-(first + 0.5 + t) * h)))
+    return out
+
+
 class TestLattice:
     def test_lattice_matches_exact_bounds(self):
         gen = np.random.default_rng(20130217)
@@ -1159,6 +1193,81 @@ class TestLattice:
         for k, pair in enumerate(pairs):
             alone = interval_bounds(method, batch_of(design, [pair]), 0.95)
             assert (lower[k], upper[k]) == (alone[0][0], alone[1][0]), pair
+
+    def test_lattice_batch_across_steps_and_stacks_equals_each_pair_alone(self, monkeypatch):
+        """Pairs read together share a lattice step h and a stack of at most
+        ``_CHUNK_CELLS`` cells; a batch spanning several of each gives every
+        pair its bits alone, near level 1 too."""
+        design = (800_000, 320, 6_000_000, 1600)
+        pairs = [(r1, r0) for r1 in range(0, 100, 4) for r0 in range(0, 40, 6)]
+        reads = []
+        read = intervals._lattice_quantiles
+
+        def recording(h, members, targets):
+            longest = max(len(t1) + len(t0) - 1 for _, (_, t1, _), (_, t0, _) in members)
+            reads.append((h, len(members), intervals._CHUNK_CELLS // longest))
+            return read(h, members, targets)
+
+        monkeypatch.setattr(intervals, "_lattice_quantiles", recording)
+        for method in POSTERIOR_METHODS:
+            for level in (0.95, 1.0 - 1e-12):
+                reads.clear()
+                lower, upper = interval_bounds(method, batch_of(design, pairs), level)
+                assert len({h for h, _, _ in reads}) >= 2, reads
+                assert any(count > per_stack for _, count, per_stack in reads), reads
+                for k, pair in enumerate(pairs):
+                    alone = interval_bounds(method, batch_of(design, [pair]), level)
+                    assert (lower[k], upper[k]) == (alone[0][0], alone[1][0]), (method, level, pair)
+
+    @pytest.mark.parametrize("level", (0.5, 0.95, 1.0 - 1e-12))
+    def test_stacked_reads_equal_the_scalar_reader(self, level, monkeypatch):
+        read, rows = intervals._lattice_quantiles, []
+
+        def checking(h, members, targets):
+            out = read(h, members, targets)
+            for got, (zero, nodes1, nodes0) in zip(out.tolist(), members):
+                assert got == scalar_lattice_quantiles(h, zero, nodes1, nodes0, targets)
+            rows.append(len(members))
+            return out
+
+        monkeypatch.setattr(intervals, "_lattice_quantiles", checking)
+        design = (800_000, 320, 6_000_000, 1600)
+        pairs = [(r1, r0) for r1 in range(0, 100, 4) for r0 in range(0, 40, 6)]
+        strata = (((300_000, 50), (500_000, 40)), ((2_000_000, 100), (3_000_000, 100), (7, 7)))
+        gen = np.random.default_rng(10)
+        relevant = tuple(tuple(gen.integers(0, 5, 25) for _ in segment) for segment in strata)
+        for method in POSTERIOR_METHODS:
+            interval_bounds(method, batch_of(design, pairs), level)
+            interval_bounds(method, CountBatch(strata, relevant), level)
+        assert sum(rows) >= 4 * len(pairs)
+
+    def test_stacked_reads_equal_the_scalar_reader_on_random_tables(self):
+        """Short tables, tables with empty nodes (f not monotone), mass at
+        Y1 = 0, negative and positive corrections, targets near 0 and 1."""
+        gen = np.random.default_rng(3)
+        for trial in range(200):
+            h = 2.0 ** int(gen.integers(-8, 0))
+            pairs = []
+            for _ in range(int(gen.integers(1, 40))):
+                zero = float(gen.choice([0.0, 0.0, gen.uniform(0.0, 0.3)]))
+                tables = [gen.random(int(gen.integers(2, 60))) ** gen.uniform(0.5, 8) for _ in "10"]
+                if trial % 5 == 0:
+                    tables[0][1:][gen.random(len(tables[0]) - 1) < 0.5] = 0.0
+                scale = math.sqrt(tables[0].sum() * tables[1].sum())
+                pairs.append((zero, *(
+                    (int(gen.integers(-50, 50)), table * share / scale,
+                     float(gen.uniform(-h * h / 12.0, h * h / 4.0)))
+                    for table, share in zip(tables, (1.0 - zero, 1.0))
+                )))
+            targets = tuple(gen.choice([1e-13, 0.025, 0.5, 0.975, 1.0 - 1e-13], 2, replace=False))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                try:
+                    expected = [scalar_lattice_quantiles(h, *pair, targets) for pair in pairs]
+                except OverflowError:  # a crossing between equal f values, out of range
+                    with pytest.raises(OverflowError):
+                        intervals._lattice_quantiles(h, pairs, targets)
+                    continue
+                np.testing.assert_array_equal(intervals._lattice_quantiles(h, pairs, targets), expected)
 
     def test_few_atoms_take_exact_bounds(self, monkeypatch):
         def no_lattice(*args, **kwargs):
