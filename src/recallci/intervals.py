@@ -689,8 +689,9 @@ def _segment_posteriors(strata, counts, specs, tail: float):
 # estimate of each boundary count; at or above it the steps repeat until
 # none moves.
 _SETTLED_TOTAL = 2.0**26
-# Elements x outer support length per search chunk: bounds the working arrays
-# at a quarter megabyte each.
+# Elements x outer support length per exact search chunk, and rows x longest
+# table per lattice stack (``_stacks``): bounds the working arrays at a
+# quarter megabyte each.
 _CHUNK_CELLS = 1 << 15
 # Tail masses are scored within [_TINY_MASS, 1 - _EPS_MASS], where ndtri is finite.
 _TINY_MASS = 1e-300
@@ -1068,9 +1069,10 @@ def most_conservative_prior(population: int, sample: int) -> PriorSpec:
 # logistic function.  A yield of 0 is a point mass at R = 0 or R = 1.
 #
 # h depends on the pair alone.  Pairs of one h are read together: each pair's
-# convolution is its own, and the reader stacks them, zero-padded in front,
-# and runs the same IEEE operations on every row that a pair alone would, so
-# a batch gives the same bits as each of its samples alone.
+# convolution is its own, and the reader stacks them, padded in front, and
+# evaluates the corrected CDF once over the whole stack with the same IEEE
+# operations on every row that a pair alone would, so a batch gives the same
+# bits as each of its samples alone.
 # ---------------------------------------------------------------------------
 
 _LATTICE_TAIL = 1e-16  # posterior mass a stratum window leaves out on either side
@@ -1211,7 +1213,8 @@ def _segment_log_yields(strata, vector, family: str, specs) -> _LogYields:
 
     Each stratum takes blocks about equally wide in log-yield.  A block of a
     sum of strata is a sum of their blocks; past ``_SUM_POINTS`` blocks,
-    ``_merge_blocks`` merges them.
+    ``_merge_blocks`` merges them, and blocks of two or more strata merge
+    before a further sum would pass it.
     """
     discrete = float(family == BETA_BINOMIAL)
     centre, mass, spread = np.zeros(1), np.ones(1), np.zeros(1)
@@ -1233,6 +1236,9 @@ def _segment_log_yields(strata, vector, family: str, specs) -> _LogYields:
             # bounds near level 1 at 0 or 1.  A window from 0 starts with the count 0.
             part = part / np.sum(part)
         zero *= part[0] if discrete and r == window[2] == 0 else 0.0
+        if summed and len(centre) * len(part) > _SUM_POINTS:
+            # Merged first, a further stratum multiplies hundreds of blocks, not tens of thousands.
+            centre, mass, spread = _merge_blocks(centre, mass, spread)
         # One stratum's blocks increase, shifted by any census strata; sums of two do not.
         summed |= len(centre) > 1
         centre = (centre[:, None] + (r + edges[:-1] + (width - discrete) / 2.0)).ravel()
@@ -1325,134 +1331,64 @@ def _lattice_quantiles(h: float, pairs, targets) -> np.ndarray:
 
     ``pairs`` holds, for each pair on the lattice of step h, the posterior
     mass of Y1 at 0 and the two segments' ``_nodes``.  Pairs are read in
-    stacks of at most ``_CHUNK_CELLS`` cells, longest first.
+    stacks of at most ``_CHUNK_CELLS`` cells, longest first.  Row r of a
+    stack holds its pair's CDF (the mass at 0, its running sums, the last
+    sum again) after as many copies of the mass at 0 as its pmf is shorter
+    than the first, so from column pad on its second-difference CDF f is, bit
+    for bit, the f of the pair alone: column pad + i holds node i.  A target
+    is not read where the mass of Y1 at 0 reaches it (R = 0) or the total
+    mass falls short of it (R = 1).
     """
     out = np.empty((len(pairs), len(targets)))
     for rows in _stacks([len(t1) + len(t0) - 1 for _, (_, t1, _), (_, t0, _) in pairs]):
         stack = [pairs[r] for r in rows]
-        crossings = _stack_quantiles(
-            [np.convolve(t1, t0[::-1]) for _, (_, t1, _), (_, t0, _) in stack],
-            [zero for zero, _, _ in stack],
-            # Midway between nodes, less the variance the spreading added.
-            [((a1 + a0) / 2.0 - h * h / 24.0) / (h * h) for _, (_, _, a1), (_, _, a0) in stack],
-            targets,
+        pmfs = [np.convolve(t1, t0[::-1]) for _, (_, t1, _), (_, t0, _) in stack]
+        width = len(pmfs[0])
+        pads = [width - len(pmf) for pmf in pmfs]
+        cdf = np.zeros((len(stack), width + 2))
+        for row, pad, pmf in zip(cdf, pads, pmfs):
+            row[pad + 1 : -1] = pmf
+        np.cumsum(cdf[:, 1:-1], axis=1, out=cdf[:, 1:-1])
+        zeros = [zero for zero, _, _ in stack]
+        cdf[:, :-1] += np.array(zeros)[:, None]
+        cdf[:, -1] = cdf[:, -2]
+        totals = cdf[:, -1].tolist()
+        # Midway between nodes, less the variance the spreading added.
+        coef = np.array(
+            [((a1 + a0) / 2.0 - h * h / 24.0) / (h * h) for _, (*_, a1), (*_, a0) in stack]
         )
-        for r, (zero, (first1, _, _), (first0, table0, _)), ts in zip(rows, stack, crossings):
-            # The convolution's entry i is the mass of logit R at node first + i.
-            first = first1 - first0 - len(table0) + 1
-            # math.exp, as for a pair alone: np.exp may differ in the last bit.
-            out[r] = [
-                0.0 if zero >= p else 1.0 if t is None
-                else 1.0 / (1.0 + math.exp(-(first + 0.5 + t) * h))
-                for p, t in zip(targets, ts)
-            ]
+        f = cdf[:, 1:-1] - coef[:, None] * (cdf[:, 2:] - 2.0 * cdf[:, 1:-1] + cdf[:, :-2])
+        # The convolution's entry i is the mass of logit R at node first + i.
+        firsts = [first1 - first0 - len(t0) + 1 for _, (first1, _, _), (first0, t0, _) in stack]
+        # Before column pad - 1, f is the mass at 0, below every target read.
+        # Column pad - 1 is the mass at 0 less coef times node 0's mass, and
+        # coef >= -1/8, so it reaches p only where node 0 does, and the clamp
+        # to node 0 reads it as the pair alone would.
+        for k, p in enumerate(targets):
+            hits = np.argmax(f >= p, axis=1).tolist()  # column 0 where none reaches p
+            for r, row, pad, hit, zero, total, first in zip(
+                rows, f, pads, hits, zeros, totals, firsts
+            ):
+                if zero >= p or total < p:
+                    out[r, k] = 0.0 if zero >= p else 1.0
+                    continue
+                t = _crossing(row[pad:], max(hit - pad, 0), p)
+                # math.exp, as for a pair alone: np.exp may differ in the last bit.
+                out[r, k] = 1.0 / (1.0 + math.exp(-(first + 0.5 + t) * h))
     return out
 
 
-def _stack_quantiles(pmfs, zeros, coefs, targets) -> list[list[float | None]]:
-    """Where the CDF of logit R reaches each target, in nodes, for a stack of
-    pmfs of one h, longest first; None where it is not read.
-
-    As for a pair alone, a target is not read where the mass of Y1 at 0
-    reaches it (R = 0) or the total mass falls short of it (R = 1).  Row r
-    holds pmf r's running sums after as many zeros as the pmf is shorter than
-    the first, which leaves their bits as they are: column pad + i holds the
-    CDF at node i.  A stack of one pair reads its whole row.  In a larger one
-    the second-difference CDF f is taken in a window of columns from where
-    the running sums show f below the target at every earlier node: f
-    differs from the CDF by at most |coef| times the larger of two adjacent
-    node masses, so by at most |coef| times the largest mass, and f stays
-    below (1 + |coef|) times the CDF one node on.  A window that misses the
-    crossing or a node the interpolation reads is read again over the whole
-    row.
-    """
-    n, width = len(pmfs), len(pmfs[0])
-    pad = [width - len(pmf) for pmf in pmfs]
-    cdf = np.zeros((n, width + 2))
-    for r, pmf in enumerate(pmfs):
-        cdf[r, pad[r] + 1 : -1] = pmf
-    peak = cdf.max(axis=1) if n > 1 else None
-    np.cumsum(cdf[:, 1:-1], axis=1, out=cdf[:, 1:-1])
-    for r, zero in enumerate(zeros):
-        cdf[r, : pad[r] + 1] = zero
-        if zero:
-            cdf[r, pad[r] + 1 : -1] += zero
-    cdf[:, -1] = cdf[:, -2]
-    total = cdf[:, -2].tolist()
-    t = [[None] * len(targets) for _ in range(n)]
-    todo = [
-        (r, k) for r in range(n) for k, p in enumerate(targets)
-        if not (zeros[r] >= p or total[r] < p)
-    ]
-    if n > 1 and todo:
-        rows, p = np.array([r for r, _ in todo], np.int64), np.array([targets[k] for _, k in todo])
-        rows_pad, coef = np.array(pad)[rows], np.array(coefs)[rows]
-        # f is below the target wherever the CDF one node on is below ``bar``,
-        # with room for rounding.
-        slack = 1.0 - 2.0**-40
-        scale = np.abs(coef)
-        bar = slack * np.maximum(
-            p / (1.0 + scale), p - scale * peak[rows] - (1.0 - slack) * cdf[rows, -2]
-        )
-        # f is below the target at every node before node clear - 1; the
-        # interpolation reads up to three nodes before the crossing.
-        clear = np.maximum(np.count_nonzero(cdf[rows, 1:-1] < bar[:, None], axis=1) - rows_pad, 0)
-        cols = min(16, width)
-        first = np.minimum(rows_pad + np.maximum(clear - 4, 0), width - cols)
-        reads = _window_quantiles(cdf, rows, rows_pad, coef, p, first, cols)
-        for (r, k), value in zip(todo, reads):
-            t[r][k] = value
-    for r, k in todo:
-        if t[r][k] is None:  # the whole row holds every node
-            t[r][k] = _row_quantile(cdf[r, pad[r] :], coefs[r], targets[k])
-    return t
-
-
-def _row_quantile(cdf: np.ndarray, coef: float, p: float) -> float:
-    """Where the second-difference CDF of one pair, from its CDF (mass at
-    0, running sums, the last sum again), reaches p, read over the row."""
-    f = cdf[1:-1] - coef * (cdf[2:] - 2.0 * cdf[1:-1] + cdf[:-2])
-    node = int(np.argmax(f >= p))  # node 0 where none reaches p
-    base = max(node - 3, 0)
-    return _crossing(f[base : max(node, 1) + 3].tolist(), -base, len(f), node, p)
-
-
-def _window_quantiles(cdf, rows, pad, coef, p, first, cols) -> list[float | None]:
-    """Where f of each row reaches its target p, read as for a pair alone,
-    from f on ``cols`` columns from ``first``; None where the window misses
-    a node that reading needs."""
-    g = cdf[rows[:, None], first[:, None] + np.arange(cols + 2)]
-    f = g[:, 1:-1] - coef[:, None] * (g[:, 2:] - 2.0 * g[:, 1:-1] + g[:, :-2])
-    origin = pad - first  # the window column of node 0
-    hit = (f >= p[:, None]) & (np.arange(cols) >= origin[:, None])
-    # The first node where f reaches p, or none (-1) before the window's end.
-    node = np.where(hit.any(axis=1), hit.argmax(axis=1) - origin, -1)
-    # Where no node reaches p, a pair alone takes node 0; only a window up to
-    # the row's end shows that none does.
-    ends = first + cols == cdf.shape[1] - 2
-    length = cdf.shape[1] - 2 - pad
-    return [
-        _crossing(values, o, size, i, target) if i >= 0 or end else None
-        for values, o, size, i, target, end in zip(
-            f.tolist(), origin.tolist(), length.tolist(), node.tolist(), p.tolist(), ends.tolist()
-        )
-    ]
-
-
-def _crossing(f: list[float], origin: int, length: int, node: int, p: float) -> float | None:
-    """Where the second-difference CDF reaches p between nodes, as a pair
-    alone reads it: by the inverse cubic through the four nodes around the
-    first ``node`` where f reaches p (at least node 1), else linearly.  f
-    holds a window of it with node 0 at ``origin``; None where the window
-    misses a node this reads."""
+def _crossing(f: np.ndarray, node: int, p: float) -> float:
+    """Where the second-difference CDF f of one pair reaches p between nodes:
+    by the inverse cubic through the four nodes around the first ``node``
+    where f reaches p (at least node 1), else linearly."""
     i = max(node, 1)
-    start = min(max(i - 2, 0), length - 4)
-    lo, hi = (start, start + 3) if start >= 0 else (i - 1, i)
-    if origin + lo < 0 or origin + hi >= len(f):
-        return None
+    start = min(max(i - 2, 0), len(f) - 4)
+    base = max(i - 3, 0)
+    near = f[base : i + 3].tolist()  # every node read below
     t = math.nan
     if start >= 0:
-        f0, f1, f2, f3 = f[origin + start : origin + start + 4]
+        f0, f1, f2, f3 = near[start - base : start - base + 4]
         if f0 < f1 < f2 < f3:
             # The Lagrange cubic in f through the four nodes, at p: node a
             # weighs a times (p - f_b) / (f_a - f_b) over b != a, in b order.
@@ -1464,7 +1400,7 @@ def _crossing(f: list[float], origin: int, length: int, node: int, p: float) -> 
                 + 3.0 * (q0 / (f3 - f0)) * (q1 / (f3 - f1)) * (q2 / (f3 - f2))
             )
     if not i - 1 <= t <= i:
-        below, above = f[origin + i - 1], f[origin + i]
+        below, above = near[i - 1 - base], near[i - base]
         # IEEE division: equal f at both nodes gives an infinity or NaN, not an error.
         t = i - 1 + np.float64(p - below) / (above - below)
     return t

@@ -963,8 +963,18 @@ def test_every_method_rejects_levels_outside_unit_interval(method, level):
         interval_bounds(method, batch, level)
 
 
+# Three retrieved strata: the first two sum to tens of thousands of blocks,
+# which merge before the third stratum's (at most 513) add to them.
+THREE_STRATA = (((500, 374), (500, 224), (300_000, 99)), ((500, 297),))
+
+
+def three_strata_relevant(count, seed):
+    gen = np.random.default_rng(seed)
+    return tuple(tuple(gen.integers(0, s + 1, count) for _, s in seg) for seg in THREE_STRATA)
+
+
 class TestStratifiedBatch:
-    def test_stratified_batch_equals_each_sample_alone(self):
+    def test_stratified_batch_equals_each_sample_alone(self, monkeypatch):
         # Large remainders; few distinct counts per stratum, so samples share
         # their segments' posteriors, and sample 0 holds none.
         strata = (((300_000, 50), (500_000, 40)), ((2_000_000, 100), (3_000_000, 100), (7, 7)))
@@ -981,6 +991,45 @@ class TestStratifiedBatch:
                 assert (lower[k], upper[k]) == tuple(
                     b[0] for b in interval_bounds(method, alone, 0.95)
                 ), (method, k)
+        # Three strata, whose summed blocks merge before a further sum.
+        merged, merge = [], intervals._merge_blocks
+
+        def recording(centre, mass, spread):
+            merged.append(len(centre))
+            return merge(centre, mass, spread)
+
+        monkeypatch.setattr(intervals, "_merge_blocks", recording)
+        relevant = three_strata_relevant(6, 1)
+        batch = CountBatch(THREE_STRATA, relevant)
+        for method in POSTERIOR_METHODS:
+            lower, upper = interval_bounds(method, batch, 0.95)
+            for k in range(6):
+                alone = CountBatch(
+                    THREE_STRATA, tuple(tuple(r[k:k + 1] for r in seg) for seg in relevant)
+                )
+                assert (lower[k], upper[k]) == tuple(
+                    b[0] for b in interval_bounds(method, alone, 0.95)
+                ), (method, k)
+        # A merge after a sum takes more than _SUM_POINTS blocks; one before, at most that.
+        assert any(size <= intervals._SUM_POINTS for size in merged)
+
+    def test_three_strata_merge_before_each_further_sum(self, monkeypatch):
+        """Summed blocks merge before a third stratum multiplies them: no
+        merge takes more than 513 blocks (the most a summed stratum takes)
+        times the larger of 513 and the bins one merge leaves."""
+        bins = 2 * int(intervals._LOG_SPAN * intervals._BLOCKS_PER_SD) + 1
+        bound = 513 * max(513, bins)
+        merge = intervals._merge_blocks
+
+        def bounded(centre, mass, spread):
+            assert len(centre) <= bound, len(centre)
+            return merge(centre, mass, spread)
+
+        monkeypatch.setattr(intervals, "_merge_blocks", bounded)
+        batch = CountBatch(THREE_STRATA, three_strata_relevant(20, 0))
+        for method in POSTERIOR_METHODS:
+            lower, upper = interval_bounds(method, batch, 0.95)
+            assert np.all((0.0 <= lower) & (lower <= upper) & (upper <= 1.0))
 
 
     @pytest.mark.parametrize("kernel", [posterior_bounds, betabin_exact_bounds])
@@ -1165,6 +1214,9 @@ class TestLattice:
                 [(300_000, 50, 1), (500_000, 40, 0)],
                 [(2_000_000, 100, 0), (3_000_000, 100, 0), (7, 7, 2)],
             ),
+            # Three strata, whose summed blocks merge before the third adds
+            # (the first sample of three_strata_relevant(20, 0)).
+            ([(500, 374, 318), (500, 224, 62), (300_000, 99, 40)], [(500, 297, 250)]),
         ],
     )
     def test_lattice_within_monte_carlo_reference(self, segments):
