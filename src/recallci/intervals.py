@@ -1192,7 +1192,9 @@ def _merge_blocks(centre: np.ndarray, mass: np.ndarray, spread: np.ndarray):
 
     A merged block keeps the mass, mean yield and yield variance of its
     parts; blocks beyond ``_LOG_SPAN`` sds merge into the outermost bins.
+    A block at a yield of 0 stays as it is: a further stratum may add to it.
     """
+    low = [values[centre == 0.0] for values in (centre, mass, spread)]
     keep = (centre > 0.0) & (mass > 0.0)
     centre, mass, spread = centre[keep], mass[keep], spread[keep]
     log_y = np.log(centre)
@@ -1205,16 +1207,17 @@ def _merge_blocks(centre: np.ndarray, mass: np.ndarray, spread: np.ndarray):
     used = total > 0.0
     first = np.bincount(bins, mass * centre, 2 * reach + 1)[used] / total[used]
     second = np.bincount(bins, mass * (spread + centre * centre), 2 * reach + 1)[used] / total[used]
-    return first, total[used], np.maximum(second - first * first, 0.0)
+    merged = first, total[used], np.maximum(second - first * first, 0.0)
+    return tuple(np.concatenate(pair) for pair in zip(low, merged))
 
 
 def _segment_log_yields(strata, vector, family: str, specs) -> _LogYields:
     """The posterior of a segment's yield given one relevant count and prior per stratum.
 
     Each stratum takes blocks about equally wide in log-yield.  A block of a
-    sum of strata is a sum of their blocks; past ``_SUM_POINTS`` blocks,
-    ``_merge_blocks`` merges them, and blocks of two or more strata merge
-    before a further sum would pass it.
+    sum of strata is a sum of their blocks.  ``_merge_blocks`` merges a sum
+    of two or more before a further stratum takes it past ``_SUM_POINTS``
+    blocks, and a sum past it before a census stratum shifts it and at the end.
     """
     discrete = float(family == BETA_BINOMIAL)
     centre, mass, spread = np.zeros(1), np.ones(1), np.zeros(1)
@@ -1225,6 +1228,8 @@ def _segment_log_yields(strata, vector, family: str, specs) -> _LogYields:
     for (population, sample), r, spec in zip(strata, vector, specs):
         remainder = population - sample
         if not remainder:
+            if len(centre) > _SUM_POINTS:
+                centre, mass, spread = _merge_blocks(centre, mass, spread)
             centre, zero = centre + r, zero * (r == 0)
             continue
         window = _stratum_window(population, sample, r, family, spec)
@@ -1244,8 +1249,8 @@ def _segment_log_yields(strata, vector, family: str, specs) -> _LogYields:
         centre = (centre[:, None] + (r + edges[:-1] + (width - discrete) / 2.0)).ravel()
         mass = (mass[:, None] * part).ravel()
         spread = (spread[:, None] + (width**2 - discrete) / 12.0).ravel()
-        if len(centre) > _SUM_POINTS:
-            centre, mass, spread = _merge_blocks(centre, mass, spread)
+    if len(centre) > _SUM_POINTS:
+        centre, mass, spread = _merge_blocks(centre, mass, spread)
     keep = (centre > 0.0) & (mass > 0.0)
     y, mass, spread = centre[keep], mass[keep], spread[keep]
     if summed:
@@ -1301,9 +1306,8 @@ def _nodes(segs: list[_LogYields], h: float) -> list[tuple[int, np.ndarray, floa
         )
         mass = np.concatenate([seg.mass for seg in stack])
         rest = 1.0 - d
-        nodes = np.bincount(idx, mass * rest, offsets[-1]) + np.bincount(
-            idx + 1, mass * d, offsets[-1]
-        )
+        nodes = np.bincount(idx, mass * rest, offsets[-1])
+        nodes += np.bincount(idx + 1, mass * d, offsets[-1])
         # A block wider than a node gap (a coarse one, at small yields) counts as
         # one spread evenly over the gap.
         spread = np.minimum(np.concatenate([seg.spread for seg in stack]), h * h / 12.0)

@@ -969,8 +969,14 @@ THREE_STRATA = (((500, 374), (500, 224), (300_000, 99)), ((500, 297),))
 
 
 def three_strata_relevant(count, seed):
+    """Uniform counts, except that the last sample has none relevant in the
+    first two strata: their beta-binomial sum holds a block at a yield of 0,
+    to which the third stratum still adds yield."""
     gen = np.random.default_rng(seed)
-    return tuple(tuple(gen.integers(0, s + 1, count) for _, s in seg) for seg in THREE_STRATA)
+    relevant = tuple(tuple(gen.integers(0, s + 1, count) for _, s in seg) for seg in THREE_STRATA)
+    for r in relevant[0][:2]:
+        r[-1] = 0
+    return relevant
 
 
 class TestStratifiedBatch:
@@ -1010,15 +1016,18 @@ class TestStratifiedBatch:
                 assert (lower[k], upper[k]) == tuple(
                     b[0] for b in interval_bounds(method, alone, 0.95)
                 ), (method, k)
-        # A merge after a sum takes more than _SUM_POINTS blocks; one before, at most that.
+        # Only a merge before a further sum can take at most _SUM_POINTS blocks.
         assert any(size <= intervals._SUM_POINTS for size in merged)
 
     def test_three_strata_merge_before_each_further_sum(self, monkeypatch):
         """Summed blocks merge before a third stratum multiplies them: no
         merge takes more than 513 blocks (the most a summed stratum takes)
-        times the larger of 513 and the bins one merge leaves."""
+        times the larger of 513 and what one merge leaves (its bins and a
+        block at a yield of 0).  The merge keeps the block at 0: the sample
+        with none relevant in the first two strata keeps its bounds from the
+        whole product of the three strata's blocks."""
         bins = 2 * int(intervals._LOG_SPAN * intervals._BLOCKS_PER_SD) + 1
-        bound = 513 * max(513, bins)
+        bound = 513 * max(513, bins + 1)
         merge = intervals._merge_blocks
 
         def bounded(centre, mass, spread):
@@ -1026,10 +1035,20 @@ class TestStratifiedBatch:
             return merge(centre, mass, spread)
 
         monkeypatch.setattr(intervals, "_merge_blocks", bounded)
-        batch = CountBatch(THREE_STRATA, three_strata_relevant(20, 0))
+        relevant = three_strata_relevant(20, 0)
+        assert [int(r[-1]) for seg in relevant for r in seg] == [0, 0, 65, 106]
+        # Bounds of that sample from the whole product, unmerged before the third stratum.
+        whole = {
+            "beta-jeffreys": (0.9989263736467094, 0.9992135151307314),
+            "betabin-half": (0.9989110333176567, 0.9992293981786735),
+            "betabin-mcp": (0.9989111358302006, 0.9992294855635174),
+            "betabin-uniform": (0.9989082515741025, 0.999227051903896),
+        }
+        batch = CountBatch(THREE_STRATA, relevant)
         for method in POSTERIOR_METHODS:
             lower, upper = interval_bounds(method, batch, 0.95)
             assert np.all((0.0 <= lower) & (lower <= upper) & (upper <= 1.0))
+            assert np.allclose((lower[-1], upper[-1]), whole[method], rtol=0, atol=1e-9), method
 
 
     @pytest.mark.parametrize("kernel", [posterior_bounds, betabin_exact_bounds])
@@ -1215,8 +1234,10 @@ class TestLattice:
                 [(2_000_000, 100, 0), (3_000_000, 100, 0), (7, 7, 2)],
             ),
             # Three strata, whose summed blocks merge before the third adds
-            # (the first sample of three_strata_relevant(20, 0)).
+            # (the first sample of three_strata_relevant(20, 0)) ...
             ([(500, 374, 318), (500, 224, 62), (300_000, 99, 40)], [(500, 297, 250)]),
+            # ... and where the first two hold a block at a yield of 0.
+            ([(500, 374, 0), (500, 224, 0), (300_000, 99, 40)], [(500, 297, 250)]),
         ],
     )
     def test_lattice_within_monte_carlo_reference(self, segments):
