@@ -99,8 +99,8 @@ def main() -> None:
         "\ncaution: a deceptively narrow normal-mle figure at small sizes means"
         "\nthe width search favored allocations whose samples usually contain no"
         "\nunretrieved positives, where that interval degenerates to [1, 1]."
-        "\nNarrowness is only meaningful alongside adequate coverage (see the"
-        "\nscenario_coverage demo)."
+        "\nNarrowness is only meaningful alongside adequate coverage (see"
+        "\n`recallci coverage`)."
     )
 
 

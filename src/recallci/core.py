@@ -145,27 +145,54 @@ class SampleDesign:
             raise ValueError("sample sizes must be positive")
 
 
-def estimate_segment_yield(segment: SegmentData) -> YieldEstimate:
+def stratified_yield(strata, counts, adjustment=0):
     """Stratified estimate of a segment's yield with its sampling variance.
 
     Each stratum contributes N_s * r_s / n_s to the point estimate and
     N_s^2 * p(1-p)/n_s * (1 - n_s/N_s) to the variance; the last factor is
     the finite-population correction, which zeroes censused strata.  The
     p(1-p)/n variance uses the maximum-likelihood divisor n, not n - 1.
+    ``strata`` holds each stratum's (N_s, n_s), ``counts`` its r_s, an int
+    or an array taken elementwise.  Adjustment c adds c positives and c
+    negatives to every stratum sample.
     """
-    point = 0.0
-    variance = 0.0
+    y = v = 0.0
+    for (population, sample), r in zip(strata, counts):
+        n_adj = sample + 2 * adjustment
+        p = (r + adjustment) / n_adj
+        y = y + population * p
+        fpc = 1.0 - sample / population
+        v = v + float(population**2) * (p * (1.0 - p) / n_adj) * fpc
+    return y, v
+
+
+def recall_moments(y1, v1, y0, v0):
+    """Recall and its corrected first-order variance, elementwise from the
+    segment yield estimates R1, R0 and their variances.
+
+    The variance propagates error through the ratio written so numerator
+    and denominator are independent: (Var(Y1) R0^2 + Var(Y0) R1^2) /
+    (R1 + R0)^4.  The powers use np.float_power, which calls the C library's
+    pow as Python's ``**`` does; np.power may differ in the last bit.
+    """
+    total = y1 + y0
+    num = v1 * np.float_power(y0, 2.0) + v0 * np.float_power(y1, 2.0)
+    return y1 / total, num / np.float_power(total, 4.0)
+
+
+def estimate_segment_yield(segment: SegmentData) -> YieldEstimate:
+    """Stratified estimate of a segment's yield with its sampling variance
+    (``stratified_yield``); an empty stratum sample raises ``ValueError``."""
     for idx, s in enumerate(segment.strata):
         if s.sample_size == 0:
             raise ValueError(
                 f"{segment.label} stratum {idx} has an empty sample; "
                 "yield cannot be estimated"
             )
-        p = s.relevant_in_sample / s.sample_size
-        point += s.population_size * p
-        fpc = 1.0 - s.sample_size / s.population_size
-        variance += s.population_size**2 * (p * (1.0 - p) / s.sample_size) * fpc
-    return YieldEstimate(point, variance)
+    return YieldEstimate(*stratified_yield(
+        [(s.population_size, s.sample_size) for s in segment.strata],
+        [s.relevant_in_sample for s in segment.strata],
+    ))
 
 
 def estimate_recall(problem: RecallProblem) -> float:
@@ -183,9 +210,7 @@ def estimate_recall(problem: RecallProblem) -> float:
 def recall_variance(problem: RecallProblem, corrected: bool = True) -> float:
     """First-order variance of the recall estimate.
 
-    The corrected form propagates error through the ratio written so the
-    numerator and denominator are independent, giving
-    (Var(Y1) R0^2 + Var(Y0) R1^2) / (R1 + R0)^4.  The uncorrected form
+    The corrected form is ``recall_moments``'s.  The uncorrected form
     propagates through the raw ratio while ignoring the covariance between
     the retrieved yield and the total, which adds Var(Y1) a second time and
     therefore never understates the corrected value.
@@ -198,10 +223,8 @@ def recall_variance(problem: RecallProblem, corrected: bool = True) -> float:
             "recall variance undefined: no relevant documents in either sample"
         )
     if corrected:
-        num = y1.variance * y0.point**2 + y0.variance * y1.point**2
-    else:
-        num = y1.variance * total**2 + y1.point**2 * (y1.variance + y0.variance)
-    return num / total**4
+        return float(recall_moments(y1.point, y1.variance, y0.point, y0.variance)[1])
+    return (y1.variance * total**2 + y1.point**2 * (y1.variance + y0.variance)) / total**4
 
 
 @dataclass(frozen=True)
@@ -271,6 +294,9 @@ def exact_sampling_distribution(
     k0, p0 = hypergeom_support_pmf(
         HypergeomParams(truth.unretrieved_size, truth.unretrieved_yield, n0)
     )
+    # (N k) / n, not stratified_yield's N (k / n): the integer product is exact,
+    # so equal estimates round alike and stay one atom.  N (k / n) would split
+    # the 6,089 distinct estimates of the bias demo's 100 + 100 design into 6,243.
     yhat1 = truth.retrieved_size * k1 / n1
     yhat0 = truth.unretrieved_size * k0 / n0
 

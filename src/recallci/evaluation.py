@@ -17,6 +17,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .intervals import (
     METHODS,
     NORMAL_ADJUSTMENTS,
     CountBatch,
+    _check_level,
     interval_bounds,
     normal_mid_half,
 )
@@ -63,8 +65,7 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.realizations < 1 or self.samples_per_realization < 1:
             raise ValueError("realizations and samples_per_realization must be >= 1")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("confidence level must lie strictly inside (0, 1)")
+        _check_level(self.level)
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown interval methods: {unknown}")
@@ -276,11 +277,6 @@ def _evaluate_realization(
     return out
 
 
-def _realization_worker(args) -> dict:
-    spec, config, index = args
-    return _evaluate_realization(spec, config, index)
-
-
 def evaluate_coverage(spec: ScenarioSpec, config: EvalConfig) -> CoverageReport:
     """Run a full coverage study of the configured methods on a scenario.
 
@@ -297,8 +293,7 @@ def evaluate_coverage(spec: ScenarioSpec, config: EvalConfig) -> CoverageReport:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             rows = list(
                 pool.map(
-                    _realization_worker,
-                    [(spec, config, i) for i in indices],
+                    _evaluate_realization, repeat(spec), repeat(config), indices,
                     chunksize=max(1, config.realizations // (config.workers * 4)),
                 )
             )

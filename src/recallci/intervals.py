@@ -63,6 +63,8 @@ from .core import (
     SegmentData,
     UndefinedEstimateError,
     estimate_recall,
+    recall_moments,
+    stratified_yield,
 )
 from .distributions import chi_square_1df_quantile, log_comb, normal_quantile
 from .streams import RandomStream
@@ -180,9 +182,7 @@ def _force(lower, upper, r1, r0):
 # one per sample.  Every element goes through the same sequence of IEEE
 # operations whatever else is in the batch, so a batch gives the same bits as
 # its samples computed one at a time; coverage tallies flip on last-bit
-# changes, so this is what keeps reports reproducible.  Squares and fourth
-# powers use np.float_power, which calls the C library's pow as Python's
-# ``**`` does; np.power may take a SIMD path that differs in the last bit.
+# changes, so this is what keeps reports reproducible.
 # ---------------------------------------------------------------------------
 
 
@@ -227,10 +227,8 @@ class CountBatch:
 
 
 def _segment_yields(batch: CountBatch, adjustment: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-sample yield estimate and variance of each segment.
+    """Per-sample yield estimate and variance of each segment (``core.stratified_yield``).
 
-    Adjustment c adds c positives and c negatives to every stratum sample;
-    c = 0 is the stratified estimate of ``core.estimate_segment_yield``.
     Without adjustment an empty stratum sample leaves the yield undefined,
     which is an error unless no sample of the batch holds a relevant document.
     """
@@ -246,18 +244,8 @@ def _segment_yields(batch: CountBatch, adjustment: int) -> list[tuple[np.ndarray
             raise ValueError(
                 f"{label} stratum {idx} has an empty sample; yield cannot be estimated"
             )
-    out = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for strata, counts in zip(batch.strata, batch.relevant):
-            y = v = 0.0
-            for (population, sample), r in zip(strata, counts):
-                n_adj = sample + 2 * adjustment
-                p = (r + adjustment) / n_adj
-                y = y + population * p
-                fpc = 1.0 - sample / population
-                v = v + float(population**2) * (p * (1.0 - p) / n_adj) * fpc
-            out.append((y, v))
-    return out
+        return [stratified_yield(s, r, adjustment) for s, r in zip(batch.strata, batch.relevant)]
 
 
 def naive_binomial_bounds(batch: CountBatch, level: float) -> tuple[np.ndarray, np.ndarray]:
@@ -295,11 +283,7 @@ def normal_mid_half(
     z = _z_value(level)
     (y1, v1), (y0, v0) = _segment_yields(batch, adjustment)
     with np.errstate(invalid="ignore"):
-        total = y1 + y0
-        mid = y1 / total
-        var = (v1 * np.float_power(y0, 2.0) + v0 * np.float_power(y1, 2.0)) / np.float_power(
-            total, 4.0
-        )
+        mid, var = recall_moments(y1, v1, y0, v0)
     return mid, z * np.sqrt(var)
 
 
@@ -419,27 +403,12 @@ def koopman_interval(problem: RecallProblem, level: float) -> RecallInterval:
 # ---------------------------------------------------------------------------
 
 
-def _nearest_rank(q: float, d: int) -> int:
-    return min(max(math.ceil(q * d), 1), d)
-
-
 def equal_tail_quantiles(values: np.ndarray, level: float) -> tuple[float, float]:
-    """Nearest-rank equal-tail quantiles of an unsorted sample.
-
-    Two single-rank selections replace a full sort: one at the upper rank,
-    then one at the lower rank inside the prefix that the first leaves below
-    it.  Order statistics are values, so the result equals indexing the
-    sorted sample.
-    """
-    d = len(values)
-    alpha = 1.0 - level
-    lo = _nearest_rank(alpha / 2.0, d)
-    hi = _nearest_rank(1.0 - alpha / 2.0, d)
-    part = np.partition(values, hi - 1)
-    upper = float(part[hi - 1])
-    head = part[:hi]
-    head.partition(lo - 1)
-    return float(head[lo - 1]), upper
+    """Nearest-rank equal-tail quantiles of an unsorted sample."""
+    d, alpha = len(values), 1.0 - level
+    lo, hi = (min(max(math.ceil(q * d), 1), d) for q in (alpha / 2.0, 1.0 - alpha / 2.0))
+    ordered = np.sort(values)
+    return float(ordered[lo - 1]), float(ordered[hi - 1])
 
 
 def _resolve_prior(prior: PriorLike, population: int, sample: int) -> PriorSpec:
@@ -689,8 +658,8 @@ def _segment_posteriors(strata, counts, specs, tail: float):
 # estimate of each boundary count; at or above it the steps repeat until
 # none moves.
 _SETTLED_TOTAL = 2.0**26
-# Elements x outer support length per exact search chunk, and rows x longest
-# table per lattice stack (``_stacks``): bounds the working arrays at a
+# Cells per stack (``_stacks``): elements x longest outer support in the exact
+# search, rows x longest table on the lattice.  Bounds the working arrays at a
 # quarter megabyte each.
 _CHUNK_CELLS = 1 << 15
 # Tail masses are scored within [_TINY_MASS, 1 - _EPS_MASS], where ndtri is finite.
@@ -898,8 +867,8 @@ def _exact_quantiles(post1, post0, rows1, rows0, upper, tail):
     """Posterior quantiles of recall for each (row1, row0, side) element.
 
     Each element sums over the segment whose support is shorter.  Elements
-    run in chunks of similar support length, few enough that the working
-    arrays stay small; each element's result depends only on its own pmfs.
+    run in ``_stacks`` of their outer support lengths, so the working arrays
+    stay small; each element's result depends only on its own pmfs.
     """
     out = np.empty(len(rows1))
     lengths1, lengths0 = post1.length[rows1], post0.length[rows0]
@@ -909,11 +878,9 @@ def _exact_quantiles(post1, post0, rows1, rows0, upper, tail):
             continue
         outer, inner = (post0, post1) if by_y0 else (post1, post0)
         rows_o, rows_i = (rows0, rows1) if by_y0 else (rows1, rows0)
-        idx = idx[np.argsort(outer.length[rows_o[idx]], kind="stable")]
         tables = _inner_tables(inner, by_y0)
-        size = max(1, _CHUNK_CELLS // int(outer.length[rows_o[idx[-1]]]))
-        for start in range(0, len(idx), size):
-            part = idx[start : start + size]
+        for stack in _stacks(outer.length[rows_o[idx]].tolist()):
+            part = idx[stack]
             out[part] = _quantile_search(
                 outer, rows_o[part], inner, rows_i[part], tables, by_y0, upper[part], tail
             )
@@ -1438,9 +1405,6 @@ def posterior_bounds(
 
     def lattice(batch, lower, upper, sub, specs, tail):
         vectors = [list(zip(*(r[sub].tolist() for r in relevant))) for relevant in batch.relevant]
-        pairs: dict[tuple, list[int]] = {}
-        for k, v1, v0 in zip(sub.tolist(), *vectors):
-            pairs.setdefault((v1, v0), []).append(k)
 
         # Per segment (0 retrieved, 1 unretrieved) and count vector, computed once.
         @functools.cache
@@ -1452,19 +1416,19 @@ def posterior_bounds(
             return _segment_log_yields(batch.strata[side], vector, family, specs[side])
 
         exact, groups = [], {}
-        for (v1, v0), ks in pairs.items():
+        for k, v1, v0 in zip(sub.tolist(), *vectors):
             if family == BETA_BINOMIAL:
                 sds = yield_sd(0, v1), yield_sd(1, v0)
                 if sds[0] * sds[1] < _LATTICE_ATOMS_MIN and max(sds) <= _EXACT_SD_MAX:
-                    exact += ks
+                    exact.append(k)
                     continue
             seg1, seg0 = posterior(0, v1), posterior(1, v0)
             point = _point_recall(seg1, seg0)
             if point is not None:
-                lower[ks], upper[ks] = point, point
+                lower[k], upper[k] = point, point
                 continue
             h = 2.0 ** math.floor(math.log2(math.hypot(seg1.sd, seg0.sd) / _LOGIT_STEPS))
-            groups.setdefault(h, []).append((v1, v0, ks))
+            groups.setdefault(h, []).append((v1, v0, k))
         for h, members in groups.items():
             nodes = [
                 dict(zip(vectors, _nodes([posterior(side, v) for v in vectors], h)))
@@ -1477,10 +1441,10 @@ def posterior_bounds(
                 [(posterior(0, v1).zero, nodes[0][v1], nodes[1][v0]) for v1, v0, _ in members],
                 (tail, 1.0 - tail),
             )
-            index = [k for _, _, ks in members for k in ks]
-            lower[index], upper[index] = np.repeat(bounds, [len(m[2]) for m in members], axis=0).T
+            index = [k for _, _, k in members]
+            lower[index], upper[index] = bounds.T
         if exact:
-            _exact_bounds(batch, lower, upper, np.array(sorted(exact)), specs, tail)
+            _exact_bounds(batch, lower, upper, np.array(exact), specs, tail)
 
     return _posterior_frame(lattice, batch, level, family, prior)
 

@@ -30,8 +30,6 @@ PRODUCERS = (
     "python3 demos/binomial_coverage.py",
     "python3 demos/estimator_bias.py",
     "python3 demos/sampling_design.py --fast",
-    "python3 demos/scenario_coverage.py --scenario legal --realizations 6 --samples 50 "
-    "--draws 2000 --seed 1",
 )
 """The README demo commands that write to ``demos/out``."""
 

@@ -19,6 +19,13 @@ from recallci.core import (
     recall_variance,
 )
 from recallci.distributions import HypergeomParams, hypergeom_pmf
+from recallci.intervals import (
+    CountBatch,
+    _segment_yields,
+    _z_value,
+    interval_bounds,
+    normal_mid_half,
+)
 
 AUDIT_WORLD = RealizationTruth(2000, 100000, 1000, 3000)
 AUDIT_DESIGN = SampleDesign(100, 100)
@@ -134,6 +141,86 @@ class TestRecallVariance:
         prob = RecallProblem.simple(50, 50, 20, 80, 80, 10)
         assert recall_variance(prob, True) == 0.0
         assert recall_variance(prob, False) == 0.0
+
+
+def random_strata(gen):
+    """(population, sample) strata of a random design: one to three per
+    segment, populations up to 1e9, about one stratum in five a census."""
+    strata = []
+    for _ in range(2):
+        segment = []
+        for _ in range(int(gen.integers(1, 4))):
+            population = int(10 ** gen.uniform(0.0, 9.0))
+            sample = int(gen.integers(1, min(population, 5000) + 1))
+            segment.append((population, population if gen.random() < 0.2 else sample))
+        strata.append(tuple(segment))
+    return tuple(strata)
+
+
+def problem_of(strata, relevant, k):
+    """Sample k of a batch as a RecallProblem."""
+    return RecallProblem(*(
+        SegmentData(tuple(StratumCounts(n, s, int(r[k])) for (n, s), r in zip(seg, rel)), label)
+        for seg, rel, label in zip(strata, relevant, ("retrieved", "unretrieved"))
+    ))
+
+
+class TestOneEstimator:
+    """The batch normal kernels and the scalar API read one stratified
+    estimator, so each sample of a batch gets the scalar API's bits."""
+
+    def test_batch_equals_scalar_api_bit_for_bit(self):
+        gen = np.random.default_rng(14)
+        undefined = 0
+        for trial in range(150):
+            strata = random_strata(gen)
+            relevant = tuple(
+                tuple(
+                    np.where(gen.random(8) < 0.3, 0, gen.integers(0, sample + 1, 8))
+                    for _, sample in segment
+                )
+                for segment in strata
+            )
+            batch = CountBatch(strata, relevant)
+            level = (0.5, 0.95, 0.999)[trial % 3]
+            yields = _segment_yields(batch, 0)
+            with np.errstate(invalid="ignore"):
+                mid, half = normal_mid_half(batch, level, 0)
+            for k in range(8):
+                problem = problem_of(strata, relevant, k)
+                for (y, v), segment in zip(yields, (problem.retrieved, problem.unretrieved)):
+                    estimate = estimate_segment_yield(segment)
+                    assert (y[k], v[k]) == (estimate.point, estimate.variance), (strata, k)
+                if not (problem.retrieved.total_relevant_sampled
+                        or problem.unretrieved.total_relevant_sampled):
+                    with pytest.raises(UndefinedEstimateError):
+                        recall_variance(problem)
+                    assert np.isnan(mid[k]) and np.isnan(half[k])
+                    undefined += 1
+                    continue
+                assert mid[k] == estimate_recall(problem), (strata, k)
+                assert half[k] == _z_value(level) * np.sqrt(recall_variance(problem)), (strata, k)
+        assert undefined > 0
+
+    def test_empty_stratum_rules(self):
+        # The scalar API raises for any empty stratum sample.
+        for r1, r0 in ((0, 0), (3, 0), (0, 2)):
+            problem = RecallProblem(
+                SegmentData((StratumCounts(1000, 50, r1), StratumCounts(400, 0, 0)), "retrieved"),
+                SegmentData.simple("unretrieved", 50000, 100, r0),
+            )
+            for estimate in (estimate_recall, recall_variance):
+                with pytest.raises(ValueError, match="retrieved stratum 1 has an empty sample"):
+                    estimate(problem)
+        # The batch raises only when some sample holds a relevant document.
+        strata = (((1000, 50), (400, 0)), ((50000, 100),))
+        zeros = np.zeros(3, dtype=np.int64)
+        none = CountBatch(strata, ((zeros, zeros), (zeros,)))
+        lower, upper = interval_bounds("normal-mle", none, 0.95)
+        assert lower.tolist() == [0.0] * 3 and upper.tolist() == [1.0] * 3
+        some = CountBatch(strata, ((np.array([0, 0, 2]), zeros), (np.array([0, 1, 0]),)))
+        with pytest.raises(ValueError, match="retrieved stratum 1 has an empty sample"):
+            interval_bounds("normal-mle", some, 0.95)
 
 
 class TestExactSamplingDistribution:

@@ -903,6 +903,33 @@ class TestExactBetaBinomial:
                     b[0] for b in interval_bounds(method, alone, 0.95)
                 )
 
+    def test_batch_across_stacks_equals_each_sample_alone(self, monkeypatch):
+        """Exact searches run in stacks of at most ``_CHUNK_CELLS`` cells; a
+        batch spanning several stacks gives every sample its bits alone and
+        those of the batch read in the default stacks."""
+        design = (400, 40, 3000, 60)
+        pairs = design_pairs(design, np.random.default_rng(30))[:30]
+        batch = batch_of(design, pairs)
+        default = {method: interval_bounds(method, batch, 0.95) for method in BETABIN_METHODS}
+        search, stacks = intervals._quantile_search, []
+
+        def recording(outer, outer_rows, *args):
+            stacks.append(len(outer_rows))
+            return search(outer, outer_rows, *args)
+
+        monkeypatch.setattr(intervals, "_quantile_search", recording)
+        monkeypatch.setattr(intervals, "_CHUNK_CELLS", 1 << 11)
+        for method in BETABIN_METHODS:
+            stacks.clear()
+            lower, upper = interval_bounds(method, batch, 0.95)
+            # Several stacks, sized to their own longest support.
+            assert len(stacks) >= 4 and len(set(stacks)) > 1 and min(stacks) > 1, stacks
+            assert np.array_equal(lower, default[method][0]), method
+            assert np.array_equal(upper, default[method][1]), method
+            for k, pair in enumerate(pairs):
+                alone = interval_bounds(method, batch_of(design, [pair]), 0.95)
+                assert (lower[k], upper[k]) == (alone[0][0], alone[1][0]), (method, pair)
+
     def test_harness_bounds_equal_compute_interval(self, monkeypatch):
         # Exact beta-binomial bounds on `small`, lattice bounds on `legal`
         # and `neutral`; any seed and draw count give the harness's bounds.
