@@ -13,7 +13,7 @@ allocations for the half-prior beta-binomial and the MLE normal interval.
 Normal widths are reported unclipped, which keeps their small-sample
 pathology (widths beyond 1.0) and large-sample 1/sqrt(n) decay visible.
 
-Run:  python3 demos/sampling_design.py [--fast]
+Run from the repository root:  python3 demos/sampling_design.py [--fast]
 """
 
 import argparse
@@ -21,6 +21,9 @@ import os
 
 from recallci import RandomStream, RealizationTruth
 from recallci.evaluation import design_width_curve, width_vs_sample_size
+
+OUT_DIR = "demos/out"
+SEED = 5
 
 
 def effectiveness_truth(corpus: int, retrieved: int, recall: float, precision: float):
@@ -32,13 +35,11 @@ def effectiveness_truth(corpus: int, retrieved: int, recall: float, precision: f
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true", help="fewer samples and sizes")
-    parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--out-dir", default="demos/out")
     args = parser.parse_args()
-    os.makedirs(args.out_dir, exist_ok=True)
+    os.makedirs(OUT_DIR, exist_ok=True)
 
     samples = 40 if args.fast else 200
-    rng = RandomStream(args.seed)
+    rng = RandomStream(SEED)
 
     corpus, retrieved, budget = 5_000_000, 500_000, 5_000
     fractions = (0.1, 0.2, 0.4, 0.6, 0.8)
@@ -58,7 +59,7 @@ def main() -> None:
                 f"{recall:>7.2f} {precision:>6.2f} "
                 + " ".join(f"{w:<8.3f}" for w in widths)
             )
-    path = os.path.join(args.out_dir, "allocation_widths.csv")
+    path = os.path.join(OUT_DIR, "allocation_widths.csv")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("recall,precision,n1,width\n")
         for recall, precision, widths in rows:
@@ -86,7 +87,7 @@ def main() -> None:
             f"{row.retrieved_size:>10} {row.sample_size:>8} {row.method:<14} "
             f"{row.best_retrieved_allocation:>8} {row.min_width:>8.3f}"
         )
-    path = os.path.join(args.out_dir, "width_vs_sample_size.csv")
+    path = os.path.join(OUT_DIR, "width_vs_sample_size.csv")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("retrieved_size,sample_size,method,best_n1,min_width\n")
         for row in table:

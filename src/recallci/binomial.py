@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import betaincinv
 
-from .distributions import log_comb, normal_quantile
+from .distributions import check_level, log_comb, normal_quantile
 
 __all__ = [
     "BinomialSample",
@@ -68,19 +68,13 @@ class ProportionInterval:
 IntervalRule = Callable[[BinomialSample, float], ProportionInterval]
 
 
-def _check_level(level: float) -> float:
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie strictly inside (0, 1)")
-    return 1.0 - level
-
-
 def clopper_pearson(sample: BinomialSample, level: float) -> ProportionInterval:
     """Exact interval from a pair of inverted one-tailed binomial tests.
 
     Endpoints come from the beta-quantile form of the binomial tail sums;
     the lower end is 0 when r = 0 and the upper end 1 when r = n.
     """
-    alpha = _check_level(level)
+    alpha = check_level(level)
     n, r = sample.n, sample.r
     lower = 0.0 if r == 0 else float(betaincinv(r, n - r + 1, alpha / 2.0))
     upper = 1.0 if r == n else float(betaincinv(r + 1, n - r, 1.0 - alpha / 2.0))
@@ -89,7 +83,7 @@ def clopper_pearson(sample: BinomialSample, level: float) -> ProportionInterval:
 
 def wald(sample: BinomialSample, level: float) -> ProportionInterval:
     """Normal interval centered on the sample proportion, clipped to [0, 1]."""
-    alpha = _check_level(level)
+    alpha = check_level(level)
     z = normal_quantile(1.0 - alpha / 2.0)
     p = sample.proportion
     half = z * np.sqrt(p * (1.0 - p) / sample.n)
@@ -98,7 +92,7 @@ def wald(sample: BinomialSample, level: float) -> ProportionInterval:
 
 def wilson(sample: BinomialSample, level: float) -> ProportionInterval:
     """Score interval: inverts normal tests with variance at the bound."""
-    alpha = _check_level(level)
+    alpha = check_level(level)
     z = normal_quantile(1.0 - alpha / 2.0)
     n, p = sample.n, sample.proportion
     z2 = z * z
@@ -114,7 +108,7 @@ def wilson(sample: BinomialSample, level: float) -> ProportionInterval:
 
 def agresti_coull(sample: BinomialSample, level: float) -> ProportionInterval:
     """Wald interval on counts augmented by z^2/2 successes and failures."""
-    alpha = _check_level(level)
+    alpha = check_level(level)
     z = normal_quantile(1.0 - alpha / 2.0)
     z2 = z * z
     n_adj = sample.n + z2
@@ -129,7 +123,7 @@ def jeffreys(sample: BinomialSample, level: float) -> ProportionInterval:
     The lower end is pinned to 0 when r = 0 and the upper to 1 when r = n,
     since the continuous posterior never reaches the boundary on its own.
     """
-    alpha = _check_level(level)
+    alpha = check_level(level)
     n, r = sample.n, sample.r
     a, b = 0.5 + r, 0.5 + n - r
     lower = 0.0 if r == 0 else float(betaincinv(a, b, alpha / 2.0))

@@ -28,6 +28,7 @@ from .core import (
     SampleDesign,
     exact_sampling_distribution,
 )
+from .distributions import check_level
 from .evaluation import (
     _NS_REALIZATION,
     EvalConfig,
@@ -63,9 +64,11 @@ def _positive_int(text: str) -> int:
 
 
 def _level(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("level must lie strictly inside (0, 1)")
+    try:
+        value = float(text)
+        check_level(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -298,9 +301,7 @@ def _cmd_bias(args) -> int:
 def _cmd_design(args) -> int:
     truth = _parse_truth(args.truth)
     if args.method not in METHODS:
-        raise SystemExit(
-            f"error: unknown method {args.method!r}; choose from {', '.join(METHODS)}"
-        )
+        raise ValueError(f"unknown method {args.method!r}; choose from {', '.join(METHODS)}")
     if args.allocations:
         allocations = list(_int_tuple(args.allocations, None, "--allocations"))
     else:

@@ -129,6 +129,13 @@ def binomial_pmf(n: int, pi: float, k: int) -> float:
     return float(np.exp(logp))
 
 
+def check_level(level: float) -> float:
+    """``1 - level``, for a confidence level strictly inside (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("confidence level must lie strictly inside (0, 1)")
+    return 1.0 - level
+
+
 def normal_quantile(q: float) -> float:
     """Inverse standard normal CDF."""
     if not 0.0 < q < 1.0:

@@ -23,12 +23,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import RealizationTruth, SampleDesign
-from .distributions import HypergeomParams, sample_hypergeom
+from .distributions import HypergeomParams, check_level, sample_hypergeom
 from .intervals import (
     METHODS,
     NORMAL_ADJUSTMENTS,
     CountBatch,
-    _check_level,
     interval_bounds,
     normal_mid_half,
 )
@@ -65,7 +64,7 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.realizations < 1 or self.samples_per_realization < 1:
             raise ValueError("realizations and samples_per_realization must be >= 1")
-        _check_level(self.level)
+        check_level(self.level)
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown interval methods: {unknown}")

@@ -66,7 +66,7 @@ from .core import (
     recall_moments,
     stratified_yield,
 )
-from .distributions import chi_square_1df_quantile, log_comb, normal_quantile
+from .distributions import check_level, chi_square_1df_quantile, log_comb, normal_quantile
 from .streams import RandomStream
 
 __all__ = [
@@ -141,7 +141,7 @@ class RecallInterval:
     def __post_init__(self) -> None:
         if not 0.0 <= self.lower <= self.upper <= 1.0:
             raise ValueError("interval must satisfy 0 <= lower <= upper <= 1")
-        _check_level(self.level)
+        check_level(self.level)
 
     @property
     def width(self) -> float:
@@ -151,13 +151,8 @@ class RecallInterval:
         return self.lower <= value <= self.upper
 
 
-def _check_level(level: float) -> None:
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie strictly inside (0, 1)")
-
-
 def _z_value(level: float) -> float:
-    _check_level(level)
+    check_level(level)
     return normal_quantile(1.0 - (1.0 - level) / 2.0)
 
 
@@ -366,7 +361,7 @@ def koopman_bounds(batch: CountBatch, level: float) -> tuple[np.ndarray, np.ndar
     one on recall with the endpoints reversed.  The method has no extension
     to stratified sampling and rejects stratified batches.
     """
-    _check_level(level)
+    check_level(level)
     if any(len(strata) > 1 for strata in batch.strata):
         raise ValueError(
             "the koopman interval does not extend to stratified sampling; "
@@ -426,7 +421,7 @@ def _posterior_frame(kernel, batch: CountBatch, level: float, family: str, prior
     that hold a relevant document, given the tail probability and each stratum's
     prior, resolved once: None under ``beta-jeffreys`` and without an unsampled
     remainder, and never for a batch of (0, 0) samples."""
-    _check_level(level)
+    check_level(level)
     if family not in (BETA_JEFFREYS, BETA_BINOMIAL):
         raise ValueError(f"unknown posterior family: {family!r}")
     r1s, r0s = batch.totals()
@@ -496,7 +491,7 @@ def monte_carlo_interval(
     """
     if config is None:
         raise ValueError("monte carlo interval estimation requires a MonteCarloConfig")
-    _check_level(level)
+    check_level(level)
     segments = (problem.retrieved, problem.unretrieved)
     r1, r0 = (segment.total_relevant_sampled for segment in segments)
     lower, upper = 0.0, 1.0
@@ -798,8 +793,10 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
         stuck = (mid <= t_lo) | (mid >= t_hi)
         out[cols[stuck]] = t_hi[stuck]
         # At most one atom per outer yield between the ends once the ratio
-        # moves by less than one count over the largest outer yield.
-        near = (np.abs(ratio(t_hi) - ratio(t_lo)) * span_scale[cols] < 1.0) & ~stuck
+        # moves by less than one count over the largest outer yield.  A yield
+        # pinned at 0 makes the move inf - inf or 0 x inf: NaN, never near.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            near = (np.abs(ratio(t_hi) - ratio(t_lo)) * span_scale[cols] < 1.0) & ~stuck
         if near.any():
             live = cols[near]
             i_lo, i_hi = index(t_lo[near], live), index(t_hi[near], live)

@@ -151,6 +151,70 @@ class TestInterval:
         assert "line 3" in capsys.readouterr().err
 
 
+# Problem CSVs that ``recallci interval --input`` must refuse, with the line the
+# message names (None where the parser names none).
+BAD_PROBLEMS = {
+    "empty": ("", None),
+    "header": ("segment,stratum,size,sample,relevant\nretrieved,all,20,10,5\n", 1),
+    "fields": (PROBLEM_CSV + "unretrieved,extra,100,10\n", 4),
+    "segment": (PROBLEM_CSV.replace("unretrieved,all", "missed,all"), 3),
+    "counts": (PROBLEM_CSV.replace("100000,100,3", "100000,100,3.0"), 3),
+    "no-strata": ("".join(PROBLEM_CSV.splitlines(keepends=True)[:2]), None),
+}
+
+
+class TestOutsideInput:
+    @pytest.mark.parametrize("name", BAD_PROBLEMS)
+    def test_bad_problem_csv_rejected(self, tmp_path, capsys, name):
+        text, line = BAD_PROBLEMS[name]
+        path = tmp_path / "problem.csv"
+        path.write_text(text)
+        assert main(["interval", "--input", str(path), "--method", "koopman"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: {path}: ")
+        assert (f"line {line}:" in out.err) == (line is not None)
+
+    def test_blank_rows_skipped(self, tmp_path, capsys, problem_file):
+        path = tmp_path / "blank_rows.csv"
+        header, *rows = PROBLEM_CSV.splitlines(keepends=True)
+        path.write_text(header + "\n" + rows[0] + " , ,,, \n" + rows[1] + "\n")
+        outputs = []
+        for source in (problem_file, str(path)):
+            assert main(["interval", "--input", source, "--method", "koopman"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("level", ["0", "1", "-0.5", "1.5", "nan", "high"])
+    def test_level_outside_unit_interval_is_a_usage_error(self, capsys, level):
+        with pytest.raises(SystemExit) as exc:
+            main(["interval", "--retrieved", "20,10,5", "--unretrieved", "200,10,1",
+                  "--level", level])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --level: " in err
+        if level != "high":
+            assert "confidence level must lie strictly inside (0, 1)" in err
+
+    def test_retrieved_needs_three_counts(self, capsys):
+        rc = main(["interval", "--retrieved", "20,10", "--unretrieved", "200,10,1"])
+        assert rc == 2
+        assert "--retrieved must be 3 comma-separated integers" in capsys.readouterr().err
+
+    def test_trailing_comma_in_method_list(self, capsys):
+        base = ["interval", "--retrieved", "20,10,5", "--unretrieved", "200,10,1", "--method"]
+        assert main(base + ["koopman,normal-mle,"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [r["method"] for r in records] == ["koopman", "normal-mle"]
+
+    def test_design_unknown_method_writes_nothing(self, tmp_path, capsys):
+        out_csv = tmp_path / "widths.csv"
+        rc = main(["design", "--truth", "500,250,4500,250", "--budget", "200", "--seed", "1",
+                   "--method", "nope", "--output", str(out_csv)])
+        assert rc == 1
+        assert "error: unknown method 'nope'" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+
 class TestCoverage:
     def test_small_run_outputs(self, tmp_path, capsys):
         csv_path = tmp_path / "cov.csv"

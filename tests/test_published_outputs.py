@@ -7,7 +7,8 @@
   ``CoverageReport`` fields, and the README table is checked against the
   JSON summaries.
 - Every other file comes from one of the demo commands in ``PRODUCERS``,
-  rerun here into a temporary directory and compared byte for byte.
+  rerun here exactly as the README lists it, each from a fresh working
+  directory, and compared byte for byte.
 
 A change that is meant to move published numbers reruns the README commands.
 On a mismatch the tests list, per (file, method, column), how many values
@@ -22,13 +23,19 @@ import sys
 
 import pytest
 
+from recallci.binomial import RULES
 from recallci.evaluation import EvalConfig, evaluate_coverage
 from recallci.scenarios import BUILTIN_SCENARIOS, builtin_scenario
 from reference_outputs import OUT, ROOT, assert_matches_committed, csv_values, moved_values
 
 PRODUCERS = (
-    "python3 demos/binomial_coverage.py",
-    "python3 demos/estimator_bias.py",
+    *(
+        f"recallci binom --method {rule} --n 20 --points 199"
+        f" --output demos/out/binomial_coverage_{rule}.csv"
+        for rule in RULES
+    ),
+    "recallci bias --truth 2000,1000,100000,3000 --design 100,100"
+    " --output demos/out/recall_sampling_distribution.csv",
     "python3 demos/sampling_design.py --fast",
 )
 """The README demo commands that write to ``demos/out``."""
@@ -50,24 +57,41 @@ COLUMNS = {
 COUNTED = ("coverage", "above", "below")
 
 
+def producer_argv(command: str) -> list[str]:
+    """``command`` as run here: ``recallci`` is the CLI module, a script path is the repo's."""
+    program, *args = shlex.split(command)
+    if program == "recallci":
+        return [sys.executable, "-m", "recallci.cli", *args]
+    assert program == "python3", command
+    script, *rest = args
+    return [sys.executable, str(ROOT / script), *rest]
+
+
 @pytest.fixture(scope="module")
 def produced(tmp_path_factory):
-    out_dir = tmp_path_factory.mktemp("demos_out")
+    """Every producer run verbatim from its own working directory with an empty
+    ``demos/out``; the files they wrote, gathered in one directory."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    runs = {
-        command: subprocess.Popen(
-            [sys.executable, *shlex.split(command)[1:], "--out-dir", str(out_dir)],
-            cwd=ROOT,
+    runs = {}
+    for command in PRODUCERS:
+        cwd = tmp_path_factory.mktemp("producer")
+        (cwd / "demos" / "out").mkdir(parents=True)
+        runs[command] = cwd, subprocess.Popen(
+            producer_argv(command),
+            cwd=cwd,
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
             text=True,
         )
-        for command in PRODUCERS
-    }
-    errors = {command: run.communicate()[1] for command, run in runs.items()}
-    assert all(run.returncode == 0 for run in runs.values()), errors
+    errors = {command: run.communicate()[1] for command, (_, run) in runs.items()}
+    assert all(run.returncode == 0 for _, run in runs.values()), errors
+    out_dir = tmp_path_factory.mktemp("demos_out")
+    for cwd, _ in runs.values():
+        for path in (cwd / "demos" / "out").iterdir():
+            assert not (out_dir / path.name).exists(), f"two commands write {path.name}"
+            path.rename(out_dir / path.name)
     return out_dir
 
 

@@ -1140,6 +1140,27 @@ def test_nothing_sampled_relevant(method, monkeypatch):
         assert (lower.tolist(), upper.tolist()) == ([0.0, 0.0], [1.0, 1.0])
 
 
+# A census segment with no relevant document pins its yield at 0, so recall is
+# known: 0 when it is the retrieved one, 1 when it is the unretrieved one.  The
+# first two take the exact kernel, the third the lattice's point-mass return.
+CENSUS_WITHOUT_RELEVANT = (
+    (RecallProblem.simple(100, 100, 0, 1000, 100, 5), 0.0),
+    (RecallProblem.simple(1000, 100, 5, 100, 100, 0), 1.0),
+    (RecallProblem.simple(5000, 5000, 0, 100000, 200, 3), 0.0),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("level", (0.5, 0.95, 1 - 1e-9))
+def test_census_segment_without_relevant_pins_recall(method, level):
+    for problem, recall in CENSUS_WITHOUT_RELEVANT:
+        iv = compute_interval(method, problem, level)
+        assert 0.0 <= iv.lower <= iv.upper <= 1.0
+        if method in POSTERIOR_METHODS:
+            assert (iv.lower, iv.upper) == (recall, recall)
+
+
 LATTICE_TOL = 2e-5
 """Largest gap allowed between lattice and exact beta-binomial bounds.
 
