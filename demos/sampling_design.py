@@ -18,9 +18,11 @@ Run from the repository root:  python3 demos/sampling_design.py [--fast]
 
 import argparse
 import os
+from dataclasses import astuple
 
 from recallci import RandomStream, RealizationTruth
 from recallci.evaluation import design_width_curve, width_vs_sample_size
+from recallci.io import write_table
 
 OUT_DIR = "demos/out"
 SEED = 5
@@ -53,18 +55,13 @@ def main() -> None:
             curve = design_width_curve(
                 truth, budget, allocations, "betabin-half", 0.95, rng, samples
             )
-            widths = [w for _, w in curve]
-            rows.append((recall, precision, widths))
+            rows += [(recall, precision, n1, width) for n1, width in curve]
             print(
                 f"{recall:>7.2f} {precision:>6.2f} "
-                + " ".join(f"{w:<8.3f}" for w in widths)
+                + " ".join(f"{w:<8.3f}" for _, w in curve)
             )
     path = os.path.join(OUT_DIR, "allocation_widths.csv")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("recall,precision,n1,width\n")
-        for recall, precision, widths in rows:
-            for n1, width in zip(allocations, widths):
-                handle.write(f"{recall},{precision},{n1},{width!r}\n")
+    write_table(path, [], ["recall", "precision", "n1", "width"], rows)
     print(f"written to {path}\n")
 
     print("part 2: minimal width vs total sample size (recall = precision = 0.5)")
@@ -88,13 +85,8 @@ def main() -> None:
             f"{row.best_retrieved_allocation:>8} {row.min_width:>8.3f}"
         )
     path = os.path.join(OUT_DIR, "width_vs_sample_size.csv")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("retrieved_size,sample_size,method,best_n1,min_width\n")
-        for row in table:
-            handle.write(
-                f"{row.retrieved_size},{row.sample_size},{row.method},"
-                f"{row.best_retrieved_allocation},{row.min_width!r}\n"
-            )
+    columns = ["retrieved_size", "sample_size", "method", "best_n1", "min_width"]
+    write_table(path, [], columns, map(astuple, table))
     print(f"written to {path}")
     print(
         "\ncaution: a deceptively narrow normal-mle figure at small sizes means"

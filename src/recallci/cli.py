@@ -46,6 +46,8 @@ from .io import (
     interval_record,
     load_problem_csv,
     parse_problem_rows,
+    write_table,
+    write_text,
 )
 from .scenarios import (
     BUILTIN_SCENARIOS,
@@ -196,14 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_or_print(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_interval(args) -> int:
     methods = _parse_methods(args.method)
     if args.input:
@@ -228,7 +222,7 @@ def _cmd_interval(args) -> int:
     for method in methods:
         interval = compute_interval(method, problem, args.level)
         records.append(interval_record(interval, echo if method in POSTERIOR_METHODS else None))
-    _write_or_print(dump_records(records), args.output)
+    write_text(args.output, dump_records(records))
     return 0
 
 
@@ -254,21 +248,16 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_scenario(args) -> int:
     spec = _scenario_from_args(args)
-    lines = [
-        f"# scenario={spec.name} count={args.count} seed={args.seed}",
-        "realization,retrieved_size,unretrieved_size,retrieved_yield,"
-        "unretrieved_yield,n1,n0,recall",
-    ]
     base = RandomStream(args.seed)
+    rows = []
     for i in range(args.count):
-        truth, design = sample_realization(spec, base.substream(_NS_REALIZATION, i))
-        lines.append(
-            f"{i},{truth.retrieved_size},{truth.unretrieved_size},"
-            f"{truth.retrieved_yield},{truth.unretrieved_yield},"
-            f"{design.retrieved_sample},{design.unretrieved_sample},"
-            f"{truth.recall!r}"
-        )
-    _write_or_print("\n".join(lines) + "\n", args.output)
+        t, d = sample_realization(spec, base.substream(_NS_REALIZATION, i))
+        rows.append((i, t.retrieved_size, t.unretrieved_size, t.retrieved_yield,
+                     t.unretrieved_yield, d.retrieved_sample, d.unretrieved_sample, t.recall))
+    columns = ["realization", "retrieved_size", "unretrieved_size", "retrieved_yield",
+               "unretrieved_yield", "n1", "n0", "recall"]
+    write_table(args.output, [{"scenario": spec.name, "count": args.count, "seed": args.seed}],
+                columns, rows)
     return 0
 
 
@@ -284,12 +273,12 @@ def _cmd_bias(args) -> int:
     dist = exact_sampling_distribution(truth, design)
     mean = dist.mean()
     if args.output:
-        from .io import write_distribution_csv
-
-        write_distribution_csv(
-            dist,
+        write_table(
             args.output,
-            header_note=f"truth={args.truth} design={args.design}",
+            [{"truth": args.truth, "design": args.design},
+             {"undefined_mass": dist.undefined_mass}],
+            ["estimate", "probability"],
+            zip(dist.estimates.tolist(), dist.probabilities.tolist()),
         )
     print(
         f"true {truth.recall:.6f}  mean {mean:.6f}  "
@@ -310,13 +299,8 @@ def _cmd_design(args) -> int:
         truth, args.budget, allocations, args.method, args.level, RandomStream(args.seed),
         args.samples,
     )
-    lines = [
-        f"# truth={args.truth} budget={args.budget} method={args.method} "
-        f"level={args.level} seed={args.seed} samples={args.samples}",
-        "n1,width",
-    ]
-    lines += [f"{n1},{width!r}" for n1, width in curve]
-    _write_or_print("\n".join(lines) + "\n", args.output)
+    settings = ("truth", "budget", "method", "level", "seed", "samples")
+    write_table(args.output, [{k: getattr(args, k) for k in settings}], ["n1", "width"], curve)
     best = min(curve, key=lambda item: item[1])
     print(f"minimal expected width {best[1]:.4f} at n1={best[0]}")
     return 0
@@ -326,12 +310,8 @@ def _cmd_binom(args) -> int:
     rule = binomial.RULES[args.method]
     grid = [i / (args.points + 1) for i in range(1, args.points + 1)]
     curve = binomial.coverage_curve(rule, args.n, args.level, grid)
-    lines = [
-        f"# method={args.method} n={args.n} level={args.level} points={args.points}",
-        "pi,coverage",
-    ]
-    lines += [f"{pi!r},{cov!r}" for pi, cov in curve]
-    _write_or_print("\n".join(lines) + "\n", args.output)
+    settings = ("method", "n", "level", "points")
+    write_table(args.output, [{k: getattr(args, k) for k in settings}], ["pi", "coverage"], curve)
     mean = sum(c for _, c in curve) / len(curve)
     print(f"mean coverage {mean:.4f}")
     return 0

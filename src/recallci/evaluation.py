@@ -31,6 +31,7 @@ from .intervals import (
     interval_bounds,
     normal_mid_half,
 )
+from .io import write_table, write_text
 from .scenarios import ScenarioSpec, sample_realization
 from .streams import RandomStream
 
@@ -206,13 +207,16 @@ def closest_coverage_shares(report: CoverageReport) -> dict[str, float]:
     return {m: float(s) for m, s in zip(report.methods, shares)}
 
 
-def _sample_counts(
+def _distinct_samples(
     truth: RealizationTruth, design: SampleDesign, samples: int, stream: RandomStream
-) -> np.ndarray:
+) -> tuple[CountBatch, np.ndarray, np.ndarray, np.ndarray]:
     """Relevant counts (r1, r0) of ``samples`` simulated samples from one world.
 
     One generator of ``stream`` draws every sample's retrieved count, then
-    every sample's unretrieved count; the result has one row per sample.
+    every sample's unretrieved count.  Returns the batch of the distinct
+    pairs with a defined estimate, in sorted order; whether each distinct
+    pair is defined (not (0, 0)); each sample's distinct-pair index; and how
+    many samples drew each distinct pair.
     """
     hg_ret = HypergeomParams(
         truth.retrieved_size, truth.retrieved_yield, design.retrieved_sample
@@ -224,18 +228,15 @@ def _sample_counts(
     counts = np.empty((samples, 2), dtype=np.int64)
     counts[:, 0] = sample_hypergeom(hg_ret, gen, size=samples)
     counts[:, 1] = sample_hypergeom(hg_unret, gen, size=samples)
-    return counts
-
-
-def _count_batch(truth: RealizationTruth, design: SampleDesign, pairs: np.ndarray) -> CountBatch:
-    return CountBatch.simple(
-        truth.retrieved_size,
-        design.retrieved_sample,
-        pairs[:, 0],
-        truth.unretrieved_size,
-        design.unretrieved_sample,
-        pairs[:, 1],
+    pairs, inverse, weights = np.unique(
+        counts, axis=0, return_inverse=True, return_counts=True
     )
+    defined = pairs.any(axis=1)
+    batch = CountBatch.simple(
+        truth.retrieved_size, design.retrieved_sample, pairs[defined, 0],
+        truth.unretrieved_size, design.unretrieved_sample, pairs[defined, 1],
+    )
+    return batch, defined, inverse.reshape(-1), weights
 
 
 def _evaluate_realization(
@@ -243,17 +244,14 @@ def _evaluate_realization(
 ) -> dict[str, tuple[float, float, float, float, float]]:
     base = RandomStream(config.master_seed)
     truth, design = sample_realization(spec, base.substream(_NS_REALIZATION, index))
-    counts = _sample_counts(
-        truth, design, config.samples_per_realization, base.substream(_NS_SAMPLE, index)
-    )
-    # Every method sees each distinct (r1, r0) pair once, in sorted order.
-    pairs, weights = np.unique(counts, axis=0, return_counts=True)
-    defined_pairs = pairs.any(axis=1)
     total = config.samples_per_realization
+    # Every method sees each distinct (r1, r0) pair once, in sorted order.
+    batch, defined_pairs, _, weights = _distinct_samples(
+        truth, design, total, base.substream(_NS_SAMPLE, index)
+    )
     undefined_count = int(weights[~defined_pairs].sum())
     defined = total - undefined_count
     weights = weights[defined_pairs]
-    batch = _count_batch(truth, design, pairs[defined_pairs])
     true_rec = truth.recall
 
     out: dict[str, tuple[float, float, float, float, float]] = {}
@@ -351,19 +349,15 @@ def _mean_width(
     forced [0, 1], under every method.  The sample counts are drawn from
     ``stream``.
     """
-    pairs, inverse = np.unique(
-        _sample_counts(truth, design, samples, stream), axis=0, return_inverse=True
-    )
-    defined = pairs.any(axis=1)
-    widths = np.ones(len(pairs))
-    batch = _count_batch(truth, design, pairs[defined])
+    batch, defined, inverse, _ = _distinct_samples(truth, design, samples, stream)
+    widths = np.ones(len(defined))
     if method in NORMAL_ADJUSTMENTS:
         _, half = normal_mid_half(batch, level, NORMAL_ADJUSTMENTS[method])
         widths[defined] = 2.0 * half
     else:
         lower, upper = interval_bounds(method, batch, level)
         widths[defined] = upper - lower
-    return float(np.mean(widths[inverse.reshape(-1)]))
+    return float(np.mean(widths[inverse]))
 
 
 def _allocation_grid(truth: RealizationTruth, size: int, grid: int) -> list[int]:
@@ -443,22 +437,15 @@ def width_vs_sample_size(
 
 def write_long_csv(report: CoverageReport, path) -> None:
     """Write the per-realization long-format CSV with a config header line."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(
-            f"# scenario={report.scenario} level={report.level} "
-            f"realizations={report.realizations} "
-            f"samples={report.samples_per_realization} "
-            f"seed={report.master_seed} draws={report.mc_draws}\n"
-        )
-        handle.write("method,realization,coverage,above,below,width\n")
-        for row in report.long_rows():
-            handle.write(",".join(str(v) for v in row) + "\n")
+    header = {"scenario": report.scenario, "level": report.level,
+              "realizations": report.realizations, "samples": report.samples_per_realization,
+              "seed": report.master_seed, "draws": report.mc_draws}
+    columns = ["method", "realization", "coverage", "above", "below", "width"]
+    write_table(path, [header], columns, report.long_rows())
 
 
 def write_summary_json(report: CoverageReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.summary(), handle, indent=2, allow_nan=True)
-        handle.write("\n")
+    write_text(path, json.dumps(report.summary(), indent=2) + "\n")
 
 
 def format_summary_table(report: CoverageReport) -> str:

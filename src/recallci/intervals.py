@@ -648,11 +648,6 @@ def _segment_posteriors(strata, counts, specs, tail: float):
     return rows.reshape(-1), _Posteriors(np.array(firsts, dtype=float), lengths, padded, mean, var)
 
 
-# Below this total yield a float atom lies within a fraction of a count of
-# the rational it rounds, so one correction step either way fixes the
-# estimate of each boundary count; at or above it the steps repeat until
-# none moves.
-_SETTLED_TOTAL = 2.0**26
 # Cells per stack (``_stacks``): elements x longest outer support in the exact
 # search, rows x longest table on the lattice.  Bounds the working arrays at a
 # quarter megabyte each.
@@ -662,7 +657,7 @@ _TINY_MASS = 1e-300
 _EPS_MASS = 2.0**-53
 
 
-def _inner_index(t, ratio, outer, first, length, by_y0, settle):
+def _inner_index(t, ratio, outer, first, length, by_y0):
     """Per outer yield, the inner table index of the atoms at or below t.
 
     With ``by_y0`` the outer yields are y0 and the index is 1 + the largest
@@ -670,8 +665,7 @@ def _inner_index(t, ratio, outer, first, length, by_y0, settle):
     the outer yields are y1 and the index is the smallest y0 with an atom at
     or below t, less the smallest y0.  ``ratio`` is t / (1 - t) (y0 outer) or
     (1 - t) / t (y1 outer).  The estimate from it is corrected against the
-    atoms' own quotients, one step either way, or until no step moves when
-    ``settle`` is set.
+    atoms' own quotients, one step at a time until no step moves.
     """
     # Counts are kept to the support and one past its end, where the index
     # saturates; NaN from 0 * inf at t <= 0 takes the far end.
@@ -689,7 +683,7 @@ def _inner_index(t, ratio, outer, first, length, by_y0, settle):
                 down = k - 1.0
                 step = (outer / (outer + k) > t).astype(float) - (outer / (outer + down) <= t)
             moved = np.fmax(np.fmin(k + step, hi), lo)
-            if not settle or np.array_equal(moved, k):
+            if np.array_equal(moved, k):
                 return moved - lo
             k = moved
 
@@ -747,7 +741,6 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
     )
     mu1, var1, mu0, var0 = post1.mean[rows1], post1.var[rows1], post0.mean[rows0], post0.var[rows0]
     span_scale = y0_hi if by_y0 else y1_hi
-    settle = bool(np.any(y1_hi + y0_hi >= _SETTLED_TOTAL))
     target = ndtri(tail)
 
     def ratio(t):
@@ -760,7 +753,7 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
 
     def index(t, live):
         return _inner_index(
-            t, ratio(t), outer_y[:, live], first_i[live], length_i[live], by_y0, settle
+            t, ratio(t), outer_y[:, live], first_i[live], length_i[live], by_y0
         )
 
     def mass(idx, live):
@@ -780,6 +773,12 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
             1.0 + np.exp(np.log(mu0) - np.log(mu1) - np.where(upper, -target, target) * sd)
         )
         step = 0.25 * sd * probe * (1.0 - probe)
+    # Where the smallest atom is 0 and the tail mass already crosses there,
+    # the bracket closes on it (t_lo is the float below 0) rather than
+    # halving toward it through the subnormals.  With y0 > 0 the mass at or
+    # below 0 is P(Y1 = 0).
+    p0 = np.where(y1_lo == 0.0, post1.pmf[rows1, 0], 0.0)
+    t_hi = np.where(np.where(upper, 1.0 - p0 <= tail, p0 >= tail), 0.0, t_hi)
     m_lo = mass(np.zeros((width, m)) if by_y0 else np.broadcast_to(length_i, (width, m)), cols)
     # Signed distance of each end's tail mass past the target in normal
     # scores, negative at t_lo and not negative at t_hi; an end kept twice in

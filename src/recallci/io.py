@@ -8,19 +8,22 @@ Problem CSV schema (header required)::
 
 ``segment`` must be ``retrieved`` or ``unretrieved``; strata appear in file
 order within their segment.
+
+Every CSV table is written by ``write_table``; its text and every JSON output
+go through ``write_text``, which writes a file or standard output.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from typing import Iterable
+import sys
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     RETRIEVED,
     UNRETRIEVED,
     RecallProblem,
-    SamplingDistribution,
     SegmentData,
     StratumCounts,
 )
@@ -29,7 +32,8 @@ from .intervals import MonteCarloConfig, RecallInterval
 __all__ = [
     "load_problem_csv",
     "parse_problem_rows",
-    "write_distribution_csv",
+    "write_table",
+    "write_text",
     "interval_record",
 ]
 
@@ -93,15 +97,25 @@ def load_problem_csv(path) -> RecallProblem:
         return parse_problem_rows(csv.reader(handle), source=str(path))
 
 
-def write_distribution_csv(dist: SamplingDistribution, path, header_note: str = "") -> None:
-    """Write an exact sampling distribution as (estimate, probability) rows."""
+def write_text(path, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to standard output when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(text)  # looked up per call, so a redirected stdout gets it
+        return
     with open(path, "w", encoding="utf-8") as handle:
-        if header_note:
-            handle.write(f"# {header_note}\n")
-        handle.write(f"# undefined_mass={dist.undefined_mass!r}\n")
-        handle.write("estimate,probability\n")
-        for est, prob in zip(dist.estimates, dist.probabilities):
-            handle.write(f"{float(est)!r},{float(prob)!r}\n")
+        handle.write(text)
+
+
+def write_table(
+    path, headers: Sequence[Mapping], columns: Sequence[str], rows: Iterable[Sequence]
+) -> None:
+    """Write a CSV table through ``write_text``: one ``# k=v ...`` line per
+    header mapping, the column line, then one line per row with each value as
+    ``str`` gives it (the shortest round-trip repr of a float)."""
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in header.items()) for header in headers]
+    lines.append(",".join(columns))
+    lines += [",".join(map(str, row)) for row in rows]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def interval_record(

@@ -458,6 +458,26 @@ class TestBinom:
         assert "mean coverage 0.95" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scenario", "--scenario", "small", "--count", "3", "--seed", "2"],
+        ["design", "--truth", "500,250,4500,250", "--budget", "200", "--seed", "4",
+         "--samples", "10", "--grid", "4"],
+        ["binom", "--method", "agresti-coull", "--n", "12", "--points", "25"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_table_equals_output_file(argv, tmp_path, capsys):
+    """Without --output the command prints the table it writes with it,
+    then the summary line it prints either way."""
+    path = tmp_path / "table.csv"
+    assert main(argv + ["--output", str(path)]) == 0
+    summary = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == path.read_text(encoding="utf-8") + summary
+
+
 class TestMonteCarloSeeding:
     def test_bounds_do_not_depend_on_method_position(self, capsys):
         base = ["interval", "--retrieved", "200000,300,120", "--unretrieved",

@@ -965,6 +965,26 @@ class TestExactBetaBinomial:
             )
             assert lower.shape == upper.shape == (0,)
 
+    @pytest.mark.parametrize("method", BETABIN_METHODS)
+    def test_upper_bound_on_the_zero_atom(self, method, monkeypatch):
+        """The retrieved remainder is one document with P(Y1 = 0) = 0.8 (or
+        near it), so at 0.5 the upper bound is the atom 0 itself, found
+        without halving toward it through the subnormals."""
+        calls = []
+        inner_index = intervals._inner_index
+
+        def counted(*args):
+            calls.append(1)
+            return inner_index(*args)
+
+        monkeypatch.setattr(intervals, "_inner_index", counted)
+        batch = strata_batch([(4, 3, 0), (1, 1, 0)], [(126680, 142, 0), (8, 8, 7), (263, 185, 0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower, upper = interval_bounds(method, batch, 0.5)
+        assert (lower[0], upper[0]) == (0.0, 0.0)
+        assert len(calls) <= 32
+
     def test_nothing_sampled_relevant_resolves_no_prior(self):
         # The most conservative prior rejects an empty stratum sample; a
         # (0, 0) sample needs no posterior and gets [0, 1] as before.
