@@ -1041,7 +1041,10 @@ def most_conservative_prior(population: int, sample: int) -> PriorSpec:
 _LATTICE_TAIL = 1e-16  # posterior mass a stratum window leaves out on either side
 _BLOCKS_PER_SD = 64  # one stratum: blocks about sd(log Y) / 64 wide, ...
 _MAX_BLOCKS = 4096  # ... and at most this many across a stratum window
-_END_BLOCKS = 16  # beta-binomial blocks at the top of the support summed count by count
+_CORE_TAIL = 1e-5  # ... inside a core leaving out at most this a side, ...
+_CORE_SHARE = 1e-3  # ... and at most this share of the tail a bound reads;
+_TAIL_COARSE = 8  # beyond the core, blocks this many fine steps wide
+_END_BLOCKS = 16  # blocks at an end of the support summed count by count or by the beta CDF
 _SUM_POINTS = 1 << 16  # blocks of a sum of strata kept before merging
 _LOGIT_STEPS = 32  # h is the largest power of two at or below sd(logit R) / 32
 _LOG_SPAN = 10.0  # log-yields beyond this many sds from the mean sit at that distance
@@ -1084,36 +1087,65 @@ def _betabin_pmf(remainder: int, a: float, b: float, k: np.ndarray) -> np.ndarra
     )
 
 
-def _stratum_window(population: int, sample: int, r: int, family: str, spec: PriorSpec | None):
-    """(a, b, lo, hi): the posterior's beta parameters and a window of unsampled
-    relevant counts (real ones for a beta posterior) holding all but
-    ``_LATTICE_TAIL`` a side."""
+def _stratum_window(
+    population: int, sample: int, r: int, family: str, spec: PriorSpec | None, core_tail: float
+):
+    """(a, b, lo, hi, core_lo, core_hi): the posterior's beta parameters, a
+    window of unsampled relevant counts (real ones for a beta posterior)
+    holding all but ``_LATTICE_TAIL`` a side, and a core inside it holding all
+    but ``core_tail`` a side (the whole window when that is no more)."""
     remainder = population - sample
     if family == BETA_JEFFREYS:
         a, b = 0.5 + r, 0.5 + sample - r
-        lo, hi = _prevalence_range(a, b, _LATTICE_TAIL)
-        return a, b, remainder * lo, remainder * hi
-    a, b = spec.alpha + r, spec.beta + sample - r
-    return (a, b, *_count_window(remainder, a, b, _LATTICE_TAIL))
+
+        def window(tail):
+            return tuple(remainder * p for p in _prevalence_range(a, b, tail))
+
+    else:
+        a, b = spec.alpha + r, spec.beta + sample - r
+
+        def window(tail):
+            return _count_window(remainder, a, b, tail)
+
+    lo, hi = window(_LATTICE_TAIL)
+    core_lo, core_hi = window(core_tail) if core_tail > _LATTICE_TAIL else (lo, hi)
+    return a, b, lo, hi, max(core_lo, lo), min(core_hi, hi)
 
 
 def _block_edges(remainder: int, r: int, window, family: str, per_sd: int, most: int) -> np.ndarray:
     """Edges, in unsampled relevant counts, of blocks about sd(log Y) / ``per_sd``
-    wide in log-yield, ``most`` of them at most.
+    wide in log-yield across the window's core, ``most`` of them at most.
 
-    A beta-binomial block [e, e') holds the counts e .. e' - 1, so blocks at
-    small yields hold one count each, a count of 0 among them.  Yields below
-    1 make one block.
+    Beyond the core, blocks are ``_TAIL_COARSE`` of those steps wide, except
+    the top ``_END_BLOCKS``.  A beta-binomial block [e, e') holds the counts
+    e .. e' - 1, so blocks at small yields hold one count each, a count of 0
+    among them.  Yields below 1 make one block, unless the whole window lies
+    below 1: then blocks reach down to a millionth of its top.
     """
-    a, b, lo, hi = window
+    a, b, lo, hi, core_lo, core_hi = window
     discrete = family == BETA_BINOMIAL
     # The posterior sd of the count: beta-binomial, or remainder x beta.
     scale = remainder * (a + b + remainder) if discrete else remainder**2
     cv = math.sqrt(scale * a * b / (a + b + 1.0)) / (a + b) / (r + remainder * a / (a + b))
     start, end = max(r + lo, 1.0), r + hi + discrete
+    if start > end:
+        start = max(r + lo, 1e-6 * end)
     span = math.log(end / start)
     width = max(min(cv, 1.0) / per_sd, span / most)
-    edges = start * np.exp(width * np.arange(math.ceil(span / width) + 1)) - r
+    steps = math.ceil(span / width)
+    # Grid steps: every one over the core [first, last] and the top _END_BLOCKS, every
+    # _TAIL_COARSE-th counted from the core beyond it, and the ends.
+    first = math.floor(math.log(max(r + core_lo, start) / start) / width)
+    last = max(math.ceil(math.log(min(r + core_hi + discrete, end) / start) / width), first)
+    top = max(steps - _END_BLOCKS, last + 1)
+    index = np.concatenate([
+        [0],
+        np.arange(first, 0, -_TAIL_COARSE)[::-1],
+        np.arange(first + 1, last + 1),
+        np.arange(last + _TAIL_COARSE, top, _TAIL_COARSE),
+        np.arange(top, steps + 1),
+    ])
+    edges = start * np.exp(width * index) - r
     edges[[0, -1]] = start - r, end - r
     edges = np.concatenate([[lo], np.floor(edges) if discrete else edges])
     if edges[1] < edges[0]:  # r + lo rounds, so start - r can fall an ulp below lo
@@ -1124,14 +1156,30 @@ def _block_edges(remainder: int, r: int, window, family: str, per_sd: int, most:
 def _stratum_masses(remainder: int, window, family: str, edges: np.ndarray) -> np.ndarray:
     """Posterior mass of the unsampled relevant count in each block.
 
-    Beta masses are CDF differences.  Beta-binomial blocks take two-point
-    Gauss-Legendre integrals of the pmf, or the pmf for one count; at the top
-    of the support, where the pmf may be singular, they sum their counts
-    (blocks at the bottom hold one count each).
+    Blocks take two-point Gauss-Legendre integrals of the density, or the
+    pmf for one count.  Beta masses are scaled to the beta CDF's difference
+    across the window, and the ``_END_BLOCKS`` at an end where the density
+    or its slope is unbounded (a or b below 2) take CDF differences
+    (Gauss-Legendre blocks there moved bounds by up to 7.5e-7).  At the top
+    of the support, where the pmf may be singular, beta-binomial blocks sum
+    their counts (blocks at the bottom hold one count each).
     """
-    a, b, lo, hi = window
+    a, b, lo, hi = window[:4]
     if family == BETA_JEFFREYS:
-        return np.diff(betainc(a, b, np.minimum(edges / remainder, 1.0)))
+        p = np.minimum(edges / remainder, 1.0)
+        blocks = len(p) - 1
+        low = min(_END_BLOCKS, blocks) if a < 2.0 else 0
+        high = min(_END_BLOCKS, blocks - low) if b < 2.0 else 0
+        below, above = betainc(a, b, p[: low + 1]), betainc(a, b, p[blocks - high :])
+        inner = p[low : blocks - high + 1]
+        width, centre = np.diff(inner), (inner[:-1] + inner[1:]) / 2.0
+        half = width / (2.0 * math.sqrt(3.0))
+        x = np.concatenate([centre - half, centre + half])
+        density = np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - betaln(a, b))
+        middle = (width / 2.0) * (density[: len(width)] + density[len(width) :])
+        if len(middle):
+            middle *= (above[0] - below[-1]) / np.sum(middle)
+        return np.concatenate([np.diff(below), middle, np.diff(above)])
     width, left = np.diff(edges), edges[:-1]
     wide = width > 1.0
     one = ~wide
@@ -1174,20 +1222,26 @@ def _merge_blocks(centre: np.ndarray, mass: np.ndarray, spread: np.ndarray):
     return tuple(np.concatenate(pair) for pair in zip(low, merged))
 
 
-def _segment_log_yields(strata, vector, family: str, specs) -> _LogYields:
+def _segment_log_yields(strata, vector, family: str, specs, tail: float) -> _LogYields:
     """The posterior of a segment's yield given one relevant count and prior per stratum.
 
     Each stratum takes blocks about equally wide in log-yield.  A block of a
     sum of strata is a sum of their blocks.  ``_merge_blocks`` merges a sum
     of two or more before a further stratum takes it past ``_SUM_POINTS``
     blocks, and a sum past it before a census stratum shifts it and at the end.
+    ``tail`` is the posterior mass below the lower bound read (and above the upper).
     """
     discrete = float(family == BETA_BINOMIAL)
     centre, mass, spread = np.zeros(1), np.ones(1), np.zeros(1)
     zero = 1.0  # a yield of 0 takes no relevant count, sampled or not, in any stratum
     summed = False  # whether blocks of two strata were summed
-    # Strata that are summed take coarser blocks, a sum being smoother than its parts.
-    per_sd, most = (_BLOCKS_PER_SD, _MAX_BLOCKS) if len(strata) == 1 else (32, 512)
+    # One stratum's blocks are coarse only in tails far beyond the bounds read.  Strata
+    # that are summed take coarser blocks throughout, a sum being smoother than its parts.
+    per_sd, most, core_tail = (
+        (_BLOCKS_PER_SD, _MAX_BLOCKS, min(_CORE_TAIL, _CORE_SHARE * tail))
+        if len(strata) == 1
+        else (32, 512, 0.0)
+    )
     for (population, sample), r, spec in zip(strata, vector, specs):
         remainder = population - sample
         if not remainder:
@@ -1195,7 +1249,7 @@ def _segment_log_yields(strata, vector, family: str, specs) -> _LogYields:
                 centre, mass, spread = _merge_blocks(centre, mass, spread)
             centre, zero = centre + r, zero * (r == 0)
             continue
-        window = _stratum_window(population, sample, r, family, spec)
+        window = _stratum_window(population, sample, r, family, spec, core_tail)
         edges = _block_edges(remainder, r, window, family, per_sd, most)
         width = np.diff(edges)
         part = _stratum_masses(remainder, window, family, edges)
@@ -1409,7 +1463,7 @@ def posterior_bounds(
 
         @functools.cache
         def posterior(side: int, vector) -> _LogYields:
-            return _segment_log_yields(batch.strata[side], vector, family, specs[side])
+            return _segment_log_yields(batch.strata[side], vector, family, specs[side], tail)
 
         exact, groups = [], {}
         for k, v1, v0 in zip(sub.tolist(), *vectors):

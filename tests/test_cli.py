@@ -83,6 +83,13 @@ class TestInterval:
         records = json.loads(capsys.readouterr().out)
         assert records[0]["method"] == "koopman"
 
+    def test_every_method_answers_a_posterior_below_one_yield(self, capsys):
+        # The retrieved remainder is one document and none of the sample is
+        # relevant: beta-jeffreys's whole posterior window lies below a yield of 1.
+        assert main(["interval", "--retrieved", "10,9,0", "--unretrieved", "100,50,10"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [r["method"] for r in records] == list(METHODS)
+
     def test_koopman_stratified_fails(self, tmp_path, capsys):
         path = tmp_path / "stratified.csv"
         path.write_text(STRATIFIED_CSV)

@@ -1478,6 +1478,85 @@ class TestLattice:
                     assert iv.upper <= 30 / 35, (k, iv)
             assert all(a <= b for a, b in zip(widths, widths[1:])), widths
 
+    @pytest.mark.parametrize("n_ret, s_ret", [(2, 1), (10, 9), (1000, 999)])
+    def test_beta_window_below_one_yield(self, n_ret, s_ret):
+        """A Jeffreys stratum with none relevant sampled whose whole window lies
+        below a yield of 1 takes blocks down to a millionth of its top."""
+        problem = RecallProblem.simple(n_ret, s_ret, 0, 100, 50, 10)
+        iv = compute_interval("beta-jeffreys", problem, 0.95)
+        mc = monte_carlo_interval(problem, 0.95, BETA_JEFFREYS, None, mc_config(5, 400_000))
+        assert iv.lower == mc.lower == 0.0
+        assert iv.upper == pytest.approx(mc.upper, rel=0.01), (iv, mc)
+
+    @pytest.mark.parametrize(
+        "unretrieved, counts",
+        [((1_000_000, 28, 26), 14_840), ((1_000_010, 10, 5), 66_061)],
+    )
+    def test_top_sum_takes_no_more_counts(self, unretrieved, counts, monkeypatch):
+        """Coarse tail blocks leave the count-by-count top sum as it was: no
+        pmf call takes more counts than the all-fine layout's top sum.  In the
+        second problem the window reaches the top of the support and its core
+        does not."""
+        sizes, pmf = [], intervals._betabin_pmf
+
+        def recording(remainder, a, b, k):
+            sizes.append(len(k))
+            return pmf(remainder, a, b, k)
+
+        monkeypatch.setattr(intervals, "_betabin_pmf", recording)
+        problem = RecallProblem.simple(453, 453, 321, *unretrieved)
+        compute_interval("betabin-uniform", problem, 0.95)
+        assert 0 < max(sizes) <= counts, sizes
+
+    @pytest.mark.parametrize("level", (0.5, 0.95, 1.0 - 1e-9))
+    def test_tabulation_within_its_references(self, level, monkeypatch):
+        """Coarse tail blocks and Gauss-Legendre beta masses keep every bound
+        within 1e-6 of the all-fine layout and of beta CDF differences, with
+        none, some and all of a stratum's sample relevant."""
+        designs = {
+            (800_000, 320, 6_000_000, 1600): [(0, 9), (320, 9), (57, 9), (57, 0), (57, 1600)],
+            (52, 19, 3330, 797): [(0, 43), (19, 43), (18, 43), (5, 0), (5, 797)],
+        }
+        masses = intervals._stratum_masses
+
+        def cdf_differences(remainder, window, family, edges):
+            if family != BETA_JEFFREYS:
+                return masses(remainder, window, family, edges)
+            a, b = window[:2]
+            return np.diff(intervals.betainc(a, b, np.minimum(edges / remainder, 1.0)))
+
+        references = {"_TAIL_COARSE": 1, "_stratum_masses": cdf_differences}
+        for design, pairs in designs.items():
+            batch = batch_of(design, pairs)
+            for method in POSTERIOR_METHODS:
+                bounds = np.array(interval_bounds(method, batch, level))
+                for name, value in references.items():
+                    with monkeypatch.context() as patch:
+                        patch.setattr(intervals, name, value)
+                        reference = np.array(interval_bounds(method, batch, level))
+                    gap = np.max(np.abs(bounds - reference))
+                    assert gap <= 1e-6, (design, method, name, gap)
+
+    def test_coarse_tails_cut_blocks(self, monkeypatch):
+        """A legal-sized pair tabulates under 80% of the all-fine layout's blocks."""
+        blocks, block_edges = [], intervals._block_edges
+
+        def counted(*args):
+            edges = block_edges(*args)
+            blocks.append(len(edges) - 1)
+            return edges
+
+        monkeypatch.setattr(intervals, "_block_edges", counted)
+        batch = batch_of((2_400_000, 320, 31_000_000, 1600), [(57, 9)])
+        for method in POSTERIOR_METHODS:
+            interval_bounds(method, batch, 0.95)
+            coarse = sum(blocks)
+            with monkeypatch.context() as patch:
+                patch.setattr(intervals, "_TAIL_COARSE", 1)
+                interval_bounds(method, batch, 0.95)
+            assert coarse < 0.8 * (sum(blocks) - coarse), (method, blocks)
+            blocks.clear()
+
 
 @pytest.mark.parametrize("design", [(5000, 100, 200_000, 300), (800, 60, 20_000, 40)])
 def test_bounds_monotone_in_relevant_counts(design):

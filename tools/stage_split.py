@@ -8,8 +8,10 @@ Runs realizations 0 .. n-1 of each built-in scenario (500 samples, all nine
 methods) through the coverage harness's per-realization step with each
 stage below wrapped in a timer, and prints each stage's self time in ms per
 realization: its wall time less that of the wrapped stages it calls.
-"other" is the rest of the realization's wall time.  The timers add about a
-microsecond per call, so the table locates time; ``perfbench`` measures it.
+"other" is the rest of the realization's wall time, and "blocks" counts
+the posterior blocks tabulated per realization (``intervals._block_edges``).
+The timers add about a microsecond per call, so the table locates time;
+``perfbench`` measures it.
 """
 
 from __future__ import annotations
@@ -63,9 +65,20 @@ def split(scenario: str, realizations: int, seed: int) -> dict[str, float]:
     )
     spec = builtin_scenario(scenario)
     timer = StageTimer()
+    blocks = 0
+    block_edges = intervals._block_edges
+
+    def counted(*args):
+        nonlocal blocks
+        edges = block_edges(*args)
+        blocks += len(edges) - 1
+        return edges
+
     originals = [(module, attr, getattr(module, attr)) for _, module, attr in STAGES]
     for (name, module, attr), (_, _, fn) in zip(STAGES, originals):
         setattr(module, attr, timer.wrap(name, fn))
+    originals.append((intervals, "_block_edges", block_edges))
+    intervals._block_edges = counted
     try:
         start = time.perf_counter()
         for index in range(realizations):
@@ -77,6 +90,7 @@ def split(scenario: str, realizations: int, seed: int) -> dict[str, float]:
     row = {name: 1e3 * timer.self_s[name] / realizations for name, *_ in STAGES}
     row["other"] = 1e3 * wall / realizations - sum(row.values())
     row["wall"] = 1e3 * wall / realizations
+    row["blocks"] = blocks / realizations
     return row
 
 
