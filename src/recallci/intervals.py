@@ -660,12 +660,15 @@ _EPS_MASS = 2.0**-53
 def _inner_index(t, ratio, outer, first, length, by_y0):
     """Per outer yield, the inner table index of the atoms at or below t.
 
-    With ``by_y0`` the outer yields are y0 and the index is 1 + the largest
-    y1 with y1 / (y1 + y0) <= t, less the smallest y1 of the support; else
-    the outer yields are y1 and the index is the smallest y0 with an atom at
-    or below t, less the smallest y0.  ``ratio`` is t / (1 - t) (y0 outer) or
-    (1 - t) / t (y1 outer).  The estimate from it is corrected against the
-    atoms' own quotients, one step at a time until no step moves.
+    Rows are elements: ``outer`` holds each one's outer yields, rising along
+    the row, and the other arguments one value each.  With ``by_y0`` the
+    outer yields are y0 and the index is 1 + the largest y1 with
+    y1 / (y1 + y0) <= t, less the smallest y1 of the support; else the outer
+    yields are y1 and the index is the smallest y0 with an atom at or below
+    t, less the smallest y0.  ``ratio`` is t / (1 - t) (y0 outer) or
+    (1 - t) / t (y1 outer).  The estimate from it stands where it lies clear
+    of every integer; elsewhere the atoms' own quotients correct it, one
+    step at a time until no step moves.
     """
     # Counts are kept to the support and one past its end, where the index
     # saturates; NaN from 0 * inf at t <= 0 takes the far end.
@@ -673,19 +676,38 @@ def _inner_index(t, ratio, outer, first, length, by_y0):
         lo, hi, toward = first - 1.0, first + length - 1.0, np.floor
     else:
         lo, hi, toward = first, first + length, np.ceil
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.fmax(np.fmin(toward(outer * ratio), hi), lo)
-        while True:
-            if by_y0:
-                up = k + 1.0
-                step = (up / (up + outer) <= t).astype(float) - (k / (k + outer) > t)
-            else:
-                down = k - 1.0
-                step = (outer / (outer + k) > t).astype(float) - (outer / (outer + down) <= t)
-            moved = np.fmax(np.fmin(k + step, hi), lo)
-            if np.array_equal(moved, k):
-                return moved - lo
-            k = moved
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = outer * ratio[:, None]
+        k = toward(x)
+        k -= lo[:, None]
+        np.fmax(np.fmin(k, length[:, None], out=k), 0.0, out=k)
+        # x is within 3u|x| of its exact value (three roundings, u = 2^-53).
+        # A quotient y1 / (y1 + y0), rounded once, can fall on the other side
+        # of t than its exact value only within u |x| (1 + ratio) of x in y1
+        # (y0 outer) or u outer (1 + ratio) in y0 (y1 outer).  The margin,
+        # 16u (1 + ratio) times the row's largest outer yield and, with y0
+        # outer, |ratio|, is over twice their sum: beyond it from every integer
+        # the loop would not move the estimate.  NaN, inf and the rest run it.
+        margin = 2.0**-49 * outer[:, -1] * (1.0 + ratio) * (np.abs(ratio) if by_y0 else 1.0)
+        x -= np.rint(x)
+        near = ~(np.abs(x, out=x) > margin[:, None])
+        if near.any():
+            rows, cols = np.nonzero(near)
+            c_lo, c_hi, y, t = lo[rows], hi[rows], outer[rows, cols], t[rows]
+            c = k[rows, cols] + c_lo
+            while True:
+                if by_y0:
+                    up = c + 1.0
+                    step = (up / (up + y) <= t).astype(float) - (c / (c + y) > t)
+                else:
+                    down = c - 1.0
+                    step = (y / (y + c) > t).astype(float) - (y / (y + down) <= t)
+                moved = np.fmax(np.fmin(c + step, c_hi), c_lo)
+                if np.array_equal(moved, c):
+                    break
+                c = moved
+            k[rows, cols] = c - c_lo
+    return k
 
 
 def _inner_tables(inner: _Posteriors, by_y0: bool):
@@ -705,6 +727,7 @@ def _inner_tables(inner: _Posteriors, by_y0: bool):
     return np.concatenate([h.ravel() for h in halves]), pmf.ravel(), pmf.shape[1]
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper, tail):
     """Posterior quantiles of recall, summing over one segment's yields.
 
@@ -725,14 +748,14 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
     tail_base = pmf_base + np.where(upper, len(table) // 2, 0)
     first_i = inner.first[inner_rows]
     length_i = inner.length[inner_rows].astype(float)
-    # Outer yields down the columns, zero mass past each element's support.
+    # Outer yields along the rows, zero mass past each element's support.
     length_o = outer.length[outer_rows]
     width = int(length_o.max())
-    steps = np.arange(width)[:, None]
-    w = np.ascontiguousarray(outer.pmf[outer_rows, :width].T)
+    steps = np.arange(width)
+    w = outer.pmf[outer_rows, :width]
     first_o = outer.first[outer_rows]
-    outer_y = first_o + steps
-    valid = steps < length_o
+    outer_y = first_o[:, None] + steps
+    valid = steps < length_o[:, None]
 
     ends_o, ends_i = (first_o, first_o + length_o - 1.0), (first_i, first_i + length_i - 1.0)
     (y1_lo, y1_hi), (y0_lo, y0_hi) = (ends_i, ends_o) if by_y0 else (ends_o, ends_i)
@@ -744,42 +767,42 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
     target = ndtri(tail)
 
     def ratio(t):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if by_y0:
-                return t / (1.0 - t)
-            # No atom lies at or below t <= 0 unless y1 = 0 and t = 0, which
-            # the search never evaluates.
-            return np.where(t > 0.0, (1.0 - t) / t, np.inf)
+        if by_y0:
+            return t / (1.0 - t)
+        # No atom lies at or below t <= 0 unless y1 = 0 and t = 0, which the
+        # search never evaluates.
+        return np.where(t > 0.0, (1.0 - t) / t, np.inf)
 
     def index(t, live):
-        return _inner_index(
-            t, ratio(t), outer_y[:, live], first_i[live], length_i[live], by_y0
-        )
+        return _inner_index(t, ratio(t), outer_y[live], first_i[live], length_i[live], by_y0)
 
     def mass(idx, live):
-        gathered = table[(idx + tail_base[live]).astype(np.int64)]
-        gathered *= w[:, live]
-        # A running sum down each column: the same order at any batch size.
-        return np.cumsum(gathered, axis=0, out=gathered)[-1]
+        gathered = table[(idx + tail_base[live, None]).astype(np.int64)]
+        # Each element's terms are added in order at any batch size:
+        # np.add.reduce adds row after row down two or more columns but sums
+        # a lone column pairwise, so a lone element takes a running sum.
+        if len(live) == 1:
+            gathered *= w[live]
+            return np.cumsum(gathered, axis=1, out=gathered)[:, -1]
+        terms = np.empty((width, len(live)))
+        np.multiply(gathered, w[live], out=terms.T)
+        return np.add.reduce(terms, axis=0)
 
     m = len(outer_rows)
     cols = np.arange(m)
     t_lo = np.nextafter(y1_lo / (y1_lo + y0_hi), -np.inf)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_hi = y1_hi / (y1_hi + y0_lo)
-        # Logit-normal approximation: log Y1 - log Y0 is close to normal.
-        sd = np.sqrt(var1 / (mu1 * mu1) + var0 / (mu0 * mu0))
-        probe = 1.0 / (
-            1.0 + np.exp(np.log(mu0) - np.log(mu1) - np.where(upper, -target, target) * sd)
-        )
-        step = 0.25 * sd * probe * (1.0 - probe)
+    t_hi = y1_hi / (y1_hi + y0_lo)
+    # Logit-normal approximation: log Y1 - log Y0 is close to normal.
+    sd = np.sqrt(var1 / (mu1 * mu1) + var0 / (mu0 * mu0))
+    probe = 1.0 / (1.0 + np.exp(np.log(mu0) - np.log(mu1) - np.where(upper, -target, target) * sd))
+    step = 0.25 * sd * probe * (1.0 - probe)
     # Where the smallest atom is 0 and the tail mass already crosses there,
     # the bracket closes on it (t_lo is the float below 0) rather than
     # halving toward it through the subnormals.  With y0 > 0 the mass at or
     # below 0 is P(Y1 = 0).
     p0 = np.where(y1_lo == 0.0, post1.pmf[rows1, 0], 0.0)
     t_hi = np.where(np.where(upper, 1.0 - p0 <= tail, p0 >= tail), 0.0, t_hi)
-    m_lo = mass(np.zeros((width, m)) if by_y0 else np.broadcast_to(length_i, (width, m)), cols)
+    m_lo = mass(np.zeros((m, width)) + (0.0 if by_y0 else length_i[:, None]), cols)
     # Signed distance of each end's tail mass past the target in normal
     # scores, negative at t_lo and not negative at t_hi; an end kept twice in
     # a row has its distance halved (Illinois).
@@ -794,35 +817,34 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
         # At most one atom per outer yield between the ends once the ratio
         # moves by less than one count over the largest outer yield.  A yield
         # pinned at 0 makes the move inf - inf or 0 x inf: NaN, never near.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            near = (np.abs(ratio(t_hi) - ratio(t_lo)) * span_scale[cols] < 1.0) & ~stuck
+        near = (np.abs(ratio(t_hi) - ratio(t_lo)) * span_scale[cols] < 1.0) & ~stuck
         if near.any():
             live = cols[near]
             i_lo, i_hi = index(t_lo[near], live), index(t_hi[near], live)
-            single = np.where(valid[:, live], np.abs(i_hi - i_lo), 0.0).max(axis=0) <= 1.0
-            live = live[single]
-            out[live] = _first_crossing(
-                i_lo[:, single], i_hi[:, single], outer_y[:, live], valid[:, live],
-                w[:, live], pmf, pmf_base[live], first_i[live], m_lo[near][single],
-                upper[live], tail, by_y0,
-            )
+            gap = np.abs(i_hi - i_lo) * valid[live]
+            single = gap.max(axis=1) <= 1.0
+            out[live[single]] = _first_crossing(
+                i_lo, i_hi, gap, first_o[live], w[live], pmf, pmf_base[live], first_i[live],
+                m_lo[near], upper[live], tail, by_y0,
+            )[single]
             near[np.flatnonzero(near)[~single]] = False
         keep = ~(near | stuck)
-        cols, mid, t_lo, t_hi, m_lo = cols[keep], mid[keep], t_lo[keep], t_hi[keep], m_lo[keep]
-        probe, step, g_lo, g_hi, kept = probe[keep], step[keep], g_lo[keep], g_hi[keep], kept[keep]
-        if not len(cols):
-            break
+        if not keep.all():
+            cols, mid, t_lo, t_hi, m_lo, probe, step, g_lo, g_hi, kept = (
+                a[keep] for a in (cols, mid, t_lo, t_hi, m_lo, probe, step, g_lo, g_hi, kept)
+            )
+            if not len(cols):
+                break
         open_lo, open_hi = np.isinf(g_lo), np.isinf(g_hi)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            guess = t_lo + (t_hi - t_lo) * (g_lo / (g_lo - g_hi))
+        guess = t_lo + (t_hi - t_lo) * (g_lo / (g_lo - g_hi))
         probe = np.where(
-            open_lo & ~open_hi,
-            t_hi - step,
-            np.where(open_hi & ~open_lo, t_lo + step, np.where(open_lo, probe, guess)),
+            open_lo & open_hi,
+            probe,
+            np.where(open_lo, t_hi - step, np.where(open_hi, t_lo + step, guess)),
         )
         probe = np.where((probe > t_lo) & (probe < t_hi), probe, mid)
         m_probe = mass(index(probe, cols), cols)
-        score = ndtri(np.clip(m_probe, _TINY_MASS, 1.0 - _EPS_MASS))
+        score = ndtri(np.minimum(np.maximum(m_probe, _TINY_MASS), 1.0 - _EPS_MASS))
         g = np.where(upper[cols], target - score, score - target)
         reached = g >= 0.0
         t_hi = np.where(reached, probe, t_hi)
@@ -835,28 +857,31 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
     return out
 
 
-def _first_crossing(i_lo, i_hi, outer, valid, w, pmf, base, first_i, m_lo, upper, tail, by_y0):
+def _first_crossing(i_lo, i_hi, gap, first_o, w, pmf, base, first_i, m_lo, upper, tail, by_y0):
     """The atom between two search ends at which the tail mass crosses ``tail``.
 
-    Between the ends each outer yield has at most one atom, at the inner
-    yield of table index min(i_lo, i_hi).
+    Rows are elements, as in ``_inner_index``; ``gap`` is |i_hi - i_lo|, 0
+    past each support.  On a row where it is at most 1, each outer yield has
+    at most one atom between the ends, at table index min(i_lo, i_hi).
     """
-    between = valid & (i_hi != i_lo)
-    at = np.minimum(i_lo, i_hi)
-    inner = first_i + at
-    y1, y0 = (inner, outer) if by_y0 else (outer, inner)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        atoms = np.where(between, y1 / (y1 + y0), np.inf)
-    masses = np.where(between, pmf[(at + base).astype(np.int64)] * w, 0.0)
-    order = np.argsort(atoms, axis=0, kind="stable")
-    atoms = np.take_along_axis(atoms, order, axis=0)
-    run = np.cumsum(np.take_along_axis(masses, order, axis=0), axis=0)
-    reached = np.where(upper, m_lo - run <= tail, m_lo + run >= tail)
+    rows, cols = np.nonzero(gap)
+    at = np.minimum(i_lo[rows, cols], i_hi[rows, cols])
+    inner, y = first_i[rows] + at, first_o[rows] + cols
+    y1, y0 = (inner, y) if by_y0 else (y, inner)
+    atoms = y1 / (y1 + y0)
+    # Each row's atoms ascending, ties in row order; masses summed in that order.
+    order = np.lexsort((atoms, rows))
+    count = np.bincount(rows, minlength=len(base))
+    start = np.cumsum(count) - count
+    run = np.zeros((len(base), count.max(initial=1)))
+    masses = pmf[(at + base[rows]).astype(np.int64)] * w[rows, cols]
+    run[rows, np.arange(len(rows)) - start[rows]] = masses[order]
+    np.cumsum(run, axis=1, out=run)
+    reached = np.where(upper[:, None], m_lo[:, None] - run <= tail, m_lo[:, None] + run >= tail)
     # Rounding may leave the running mass a hair short at the last atom, the
     # one t_hi reached.
-    count = between.sum(axis=0)
-    pick = np.where(reached.any(axis=0), reached.argmax(axis=0), count - 1)
-    return atoms[pick, np.arange(atoms.shape[1])]
+    pick = np.where(reached.any(axis=1), reached.argmax(axis=1), count - 1)
+    return atoms[order[start + pick]]
 
 
 def _exact_quantiles(post1, post0, rows1, rows0, upper, tail):

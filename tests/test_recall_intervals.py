@@ -791,6 +791,43 @@ def random_strata(gen, count, max_pop):
     return strata
 
 
+# Where the supports of one exact search start: small yields and yields near 1e9.
+SUPPORT_STARTS = (0, 1, 40, 10**9 - 100)
+
+
+@st.composite
+def index_cases(draw):
+    """One ``_inner_index`` call: an orientation and one to three elements,
+    each a row of rising outer yields, an inner support and a t at an atom,
+    beside one, or away from all of them."""
+    by_y0 = draw(st.booleans())
+    width = draw(st.integers(1, 30))
+    elements = []
+    for _ in range(draw(st.integers(1, 3))):
+        first_o = draw(st.sampled_from(SUPPORT_STARTS)) + draw(st.integers(0, 30))
+        first_i = draw(st.sampled_from(SUPPORT_STARTS)) + draw(st.integers(0, 30))
+        length = draw(st.integers(1, 30))
+        # A bound is searched only where its segment's sample holds a relevant
+        # document, so no search pairs y1 = 0 with y0 = 0.
+        if first_o == first_i == 0:
+            first_o, first_i = (1, 0) if draw(st.booleans()) else (0, 1)
+        kind = draw(st.sampled_from(("atom", "any", "special")))
+        if kind == "atom":
+            # Past the inner support too, so the index saturates at both ends.
+            y_o = first_o + draw(st.integers(0, width - 1))
+            y_i = first_i + draw(st.integers(-5, length + 5))
+            y1, y0 = (max(y_i, 0), y_o) if by_y0 else (y_o, max(y_i, 0))
+            atom = y1 / (y1 + y0)
+            ulps = draw(st.sampled_from((0, 1, -1, 7, -7)) | st.integers(-2**30, 2**30))
+            t = min(atom + ulps * float(np.spacing(atom)), 1.0)
+        elif kind == "any":
+            t = draw(st.floats(0.0, 1.0))
+        else:  # 0.5 has ratio 1; t <= 0 an infinite ratio with y1 outer
+            t = draw(st.sampled_from((0.5, 0.0, -5e-324, 1.0)))
+        elements.append((t, first_o, first_i, length))
+    return by_y0, width, elements
+
+
 class TestExactBetaBinomial:
     LEVELS = (0.95, 0.9, 0.5, 0.999, 1.0 - 1e-12)
 
@@ -984,6 +1021,64 @@ class TestExactBetaBinomial:
             lower, upper = interval_bounds(method, batch, 0.5)
         assert (lower[0], upper[0]) == (0.0, 0.0)
         assert len(calls) <= 32
+
+    @given(index_cases())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_inner_index_counts_atoms(self, case):
+        """Against its definition: with y0 outer, the count of inner atoms
+        whose own quotient y1 / (y1 + y0) is at or below t; with y1 outer,
+        the count above t (the index of the smallest y0 at or below it)."""
+        by_y0, width, elements = case
+        t, first_o, first_i, length = (np.array(v, dtype=float) for v in zip(*elements))
+        outer = first_o[:, None] + np.arange(width)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # As the search computes it.
+            ratio = t / (1.0 - t) if by_y0 else np.where(t > 0.0, (1.0 - t) / t, np.inf)
+        index = intervals._inner_index(t, ratio, outer, first_i, length, by_y0)
+        for e, (t_e, _, first, count) in enumerate(elements):
+            inner = first + np.arange(count, dtype=float)
+            for j, y in enumerate(outer[e]):
+                quotient = inner / (inner + y) if by_y0 else y / (y + inner)
+                expected = np.sum(quotient <= t_e) if by_y0 else np.sum(quotient > t_e)
+                assert index[e, j] == expected, (by_y0, t_e, y, first, count)
+
+    def test_sums_down_two_or_more_columns_run_in_order(self):
+        """The exact search sums each element's terms with np.add.reduce down
+        a (yields x elements) array, which must add row after row, as a
+        running sum does, wherever it has two or more columns."""
+        gen = np.random.default_rng(12)
+        for columns in (2, 3, 64, 301):
+            for rows in (1, 9, 130, 1000):
+                terms = gen.random((rows, columns)) * 10.0 ** gen.integers(-30, 1, (rows, columns))
+                assert np.array_equal(np.add.reduce(terms, axis=0), np.cumsum(terms, axis=0)[-1])
+
+    def test_work_on_a_small_realization(self, monkeypatch):
+        """Realization 0 of ``small``: the exact search evaluates as many
+        tail masses as it always has, and all but a few of the cells it
+        indexes skip the exact-quotient correction."""
+        calls, cells, corrected = [], [], []
+        inner_index, array_equal = intervals._inner_index, np.array_equal
+
+        def counted(t, ratio, outer, *args):
+            calls.append(1)
+            cells.append(outer.size)
+            return inner_index(t, ratio, outer, *args)
+
+        def correction_step(moved, previous):  # once per step of the correction loop
+            corrected.append(np.size(moved))
+            return array_equal(moved, previous)
+
+        monkeypatch.setattr(intervals, "_inner_index", counted)
+        monkeypatch.setattr(np, "array_equal", correction_step)
+        config = evaluation.EvalConfig(
+            master_seed=20130217, realizations=1, samples_per_realization=500,
+            methods=BETABIN_METHODS,
+        )
+        evaluation.evaluate_coverage(builtin_scenario("small"), config)
+        # The search path takes 423 calls over 2,658,898 cells here; a change
+        # to the path changes the count.
+        assert len(calls) == 423
+        assert sum(corrected) < 1e-3 * sum(cells)
 
     def test_nothing_sampled_relevant_resolves_no_prior(self):
         # The most conservative prior rejects an empty stratum sample; a

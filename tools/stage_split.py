@@ -8,15 +8,18 @@ Runs realizations 0 .. n-1 of each built-in scenario (500 samples, all nine
 methods) through the coverage harness's per-realization step with each
 stage below wrapped in a timer, and prints each stage's self time in ms per
 realization: its wall time less that of the wrapped stages it calls.
-"other" is the rest of the realization's wall time, and "blocks" counts
-the posterior blocks tabulated per realization (``intervals._block_edges``).
-The timers add about a microsecond per call, so the table locates time;
-``perfbench`` measures it.
+"other" is the rest of the realization's wall time.  "blocks" counts the
+posterior blocks tabulated per realization (``intervals._block_edges``),
+and "masses/bound" the tail masses the exact search evaluates per bound it
+searches: one at each bound's lower end, and one per probe, as scored by
+``intervals.ndtri``.  The timers add about a microsecond per call, so the
+table locates time; ``perfbench`` measures it.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import time
 from collections import defaultdict
 
@@ -33,6 +36,17 @@ STAGES = (
     ("quantile read", intervals, "_lattice_quantiles"),
     ("_betabin_pmf", intervals, "_betabin_pmf"),
     ("betainc", intervals, "betainc"),
+    ("exact pmfs", intervals, "_segment_posteriors"),
+    ("exact index", intervals, "_inner_index"),
+    ("exact crossing", intervals, "_first_crossing"),
+    ("exact search", intervals, "_quantile_search"),
+)
+
+# (count, module, attribute, what one call adds, from its first argument and result)
+COUNTS = (
+    ("blocks", intervals, "_block_edges", lambda first, edges: len(edges) - 1),
+    ("searched", intervals, "_quantile_search", lambda first, bounds: len(bounds)),
+    ("probes", intervals, "ndtri", lambda first, s: np.size(s) * isinstance(first, np.ndarray)),
 )
 
 
@@ -65,20 +79,21 @@ def split(scenario: str, realizations: int, seed: int) -> dict[str, float]:
     )
     spec = builtin_scenario(scenario)
     timer = StageTimer()
-    blocks = 0
-    block_edges = intervals._block_edges
+    counts = {name: 0 for name, *_ in COUNTS}
 
-    def counted(*args):
-        nonlocal blocks
-        edges = block_edges(*args)
-        blocks += len(edges) - 1
-        return edges
+    def counting(name, fn, adds):
+        def counted(*args):
+            result = fn(*args)
+            counts[name] += adds(args[0], result)
+            return result
 
-    originals = [(module, attr, getattr(module, attr)) for _, module, attr in STAGES]
-    for (name, module, attr), (_, _, fn) in zip(STAGES, originals):
-        setattr(module, attr, timer.wrap(name, fn))
-    originals.append((intervals, "_block_edges", block_edges))
-    intervals._block_edges = counted
+        return counted
+
+    originals = [(module, attr, getattr(module, attr)) for _, module, attr, *_ in STAGES + COUNTS]
+    for name, module, attr in STAGES:
+        setattr(module, attr, timer.wrap(name, getattr(module, attr)))
+    for name, module, attr, adds in COUNTS:
+        setattr(module, attr, counting(name, getattr(module, attr), adds))
     try:
         start = time.perf_counter()
         for index in range(realizations):
@@ -90,7 +105,9 @@ def split(scenario: str, realizations: int, seed: int) -> dict[str, float]:
     row = {name: 1e3 * timer.self_s[name] / realizations for name, *_ in STAGES}
     row["other"] = 1e3 * wall / realizations - sum(row.values())
     row["wall"] = 1e3 * wall / realizations
-    row["blocks"] = blocks / realizations
+    row["blocks"] = counts["blocks"] / realizations
+    searched = counts["searched"]
+    row["masses/bound"] = (searched + counts["probes"]) / searched if searched else math.nan
     return row
 
 
