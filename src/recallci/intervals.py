@@ -778,15 +778,12 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
 
     def mass(idx, live):
         gathered = table[(idx + tail_base[live, None]).astype(np.int64)]
-        # Each element's terms are added in order at any batch size:
-        # np.add.reduce adds row after row down two or more columns but sums
-        # a lone column pairwise, so a lone element takes a running sum.
-        if len(live) == 1:
-            gathered *= w[live]
-            return np.cumsum(gathered, axis=1, out=gathered)[:, -1]
-        terms = np.empty((width, len(live)))
-        np.multiply(gathered, w[live], out=terms.T)
-        return np.add.reduce(terms, axis=0)
+        gathered *= w[live]
+        # A running sum along each row: the same order at any batch size.
+        # np.add.reduce is not pinned so: down the columns of a (yields x
+        # elements) array it adds row after row, but a lone column (one
+        # element left in the search) it sums pairwise.
+        return np.cumsum(gathered, axis=1, out=gathered)[:, -1]
 
     m = len(outer_rows)
     cols = np.arange(m)
@@ -823,10 +820,11 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
             i_lo, i_hi = index(t_lo[near], live), index(t_hi[near], live)
             gap = np.abs(i_hi - i_lo) * valid[live]
             single = gap.max(axis=1) <= 1.0
-            out[live[single]] = _first_crossing(
-                i_lo, i_hi, gap, first_o[live], w[live], pmf, pmf_base[live], first_i[live],
-                m_lo[near], upper[live], tail, by_y0,
-            )[single]
+            live = live[single]
+            out[live] = _first_crossing(
+                i_lo[single], i_hi[single], gap[single], first_o[live], w[live], pmf,
+                pmf_base[live], first_i[live], m_lo[near][single], upper[live], tail, by_y0,
+            )
             near[np.flatnonzero(near)[~single]] = False
         keep = ~(near | stuck)
         if not keep.all():

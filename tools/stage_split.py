@@ -42,7 +42,10 @@ STAGES = (
     ("exact search", intervals, "_quantile_search"),
 )
 
-# (count, module, attribute, what one call adds, from its first argument and result)
+# (count, module, attribute, what one call adds, from its first argument and result).
+# "probes" relies on the exact search being the one caller in intervals.py
+# that hands ndtri an array, one score per bound it probes; the other calls
+# pass a scalar.  A new array call there would inflate masses/bound.
 COUNTS = (
     ("blocks", intervals, "_block_edges", lambda first, edges: len(edges) - 1),
     ("searched", intervals, "_quantile_search", lambda first, bounds: len(bounds)),
