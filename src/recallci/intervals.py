@@ -773,8 +773,8 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
         # search never evaluates.
         return np.where(t > 0.0, (1.0 - t) / t, np.inf)
 
-    def index(t, live):
-        return _inner_index(t, ratio(t), outer_y[live], first_i[live], length_i[live], by_y0)
+    def index(t, r, live):
+        return _inner_index(t, r, outer_y[live], first_i[live], length_i[live], by_y0)
 
     def mass(idx, live):
         gathered = table[(idx + tail_base[live, None]).astype(np.int64)]
@@ -799,6 +799,7 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
     # below 0 is P(Y1 = 0).
     p0 = np.where(y1_lo == 0.0, post1.pmf[rows1, 0], 0.0)
     t_hi = np.where(np.where(upper, 1.0 - p0 <= tail, p0 >= tail), 0.0, t_hi)
+    r_lo, r_hi = ratio(t_lo), ratio(t_hi)  # each end's ratio, kept beside it
     m_lo = mass(np.zeros((m, width)) + (0.0 if by_y0 else length_i[:, None]), cols)
     # Signed distance of each end's tail mass past the target in normal
     # scores, negative at t_lo and not negative at t_hi; an end kept twice in
@@ -814,10 +815,10 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
         # At most one atom per outer yield between the ends once the ratio
         # moves by less than one count over the largest outer yield.  A yield
         # pinned at 0 makes the move inf - inf or 0 x inf: NaN, never near.
-        near = (np.abs(ratio(t_hi) - ratio(t_lo)) * span_scale[cols] < 1.0) & ~stuck
+        near = (np.abs(r_hi - r_lo) * span_scale[cols] < 1.0) & ~stuck
         if near.any():
             live = cols[near]
-            i_lo, i_hi = index(t_lo[near], live), index(t_hi[near], live)
+            i_lo, i_hi = index(t_lo[near], r_lo[near], live), index(t_hi[near], r_hi[near], live)
             gap = np.abs(i_hi - i_lo) * valid[live]
             single = gap.max(axis=1) <= 1.0
             live = live[single]
@@ -828,8 +829,9 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
             near[np.flatnonzero(near)[~single]] = False
         keep = ~(near | stuck)
         if not keep.all():
-            cols, mid, t_lo, t_hi, m_lo, probe, step, g_lo, g_hi, kept = (
-                a[keep] for a in (cols, mid, t_lo, t_hi, m_lo, probe, step, g_lo, g_hi, kept)
+            cols, mid, t_lo, t_hi, r_lo, r_hi, m_lo, probe, step, g_lo, g_hi, kept = (
+                a[keep]
+                for a in (cols, mid, t_lo, t_hi, r_lo, r_hi, m_lo, probe, step, g_lo, g_hi, kept)
             )
             if not len(cols):
                 break
@@ -841,12 +843,13 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
             np.where(open_lo, t_hi - step, np.where(open_hi, t_lo + step, guess)),
         )
         probe = np.where((probe > t_lo) & (probe < t_hi), probe, mid)
-        m_probe = mass(index(probe, cols), cols)
+        r_probe = ratio(probe)
+        m_probe = mass(index(probe, r_probe, cols), cols)
         score = ndtri(np.minimum(np.maximum(m_probe, _TINY_MASS), 1.0 - _EPS_MASS))
         g = np.where(upper[cols], target - score, score - target)
         reached = g >= 0.0
-        t_hi = np.where(reached, probe, t_hi)
-        t_lo = np.where(reached, t_lo, probe)
+        t_hi, r_hi = np.where(reached, probe, t_hi), np.where(reached, r_probe, r_hi)
+        t_lo, r_lo = np.where(reached, t_lo, probe), np.where(reached, r_lo, r_probe)
         m_lo = np.where(reached, m_lo, m_probe)
         g_hi = np.where(reached, g, np.where(kept > 0, 0.5 * g_hi, g_hi))
         g_lo = np.where(reached, np.where(kept < 0, 0.5 * g_lo, g_lo), g)
@@ -1048,7 +1051,10 @@ def most_conservative_prior(population: int, sample: int) -> PriorSpec:
 # strata in the sums of their blocks.  Every block is spread over the two
 # nearest nodes of the lattice u = j * h of log-yields, in the proportions
 # that keep its mean log-yield, and one convolution of the two node tables
-# gives the distribution of the logit on the same lattice.  Its running sums,
+# gives the distribution of the logit on the same lattice.  A one-stratum
+# segment's table stops at the edges of its core (``_stratum_window``):
+# blocks beyond them, at most the core's tail a side, are spread as if at
+# the edge.  The running sums of the logit's distribution,
 # less a second-difference correction for the variance that the spreading
 # adds, are the CDF of logit R midway between nodes; the equal-tail quantiles
 # are read off by inverse cubic interpolation and mapped back through the
@@ -1070,7 +1076,7 @@ _TAIL_COARSE = 8  # beyond the core, blocks this many fine steps wide
 _END_BLOCKS = 16  # blocks at an end of the support summed count by count or by the beta CDF
 _SUM_POINTS = 1 << 16  # blocks of a sum of strata kept before merging
 _LOGIT_STEPS = 32  # h is the largest power of two at or below sd(logit R) / 32
-_LOG_SPAN = 10.0  # log-yields beyond this many sds from the mean sit at that distance
+_LOG_SPAN = 10.0  # log-yields beyond this many sds from the mean, or a core's edge, sit there
 
 _LATTICE_ATOMS_MIN = 1e4
 """Smallest product of the two segments' posterior yield sds for lattice
@@ -1099,6 +1105,7 @@ class _LogYields(NamedTuple):
     total: float  # np.sum(mass)
     mean: float
     sd: float
+    core: tuple[float, float] = (-math.inf, math.inf)  # log-yields where the node tables stop
 
 
 def _betabin_pmf(remainder: int, a: float, b: float, k: np.ndarray) -> np.ndarray:
@@ -1183,9 +1190,11 @@ def _stratum_masses(remainder: int, window, family: str, edges: np.ndarray) -> n
     pmf for one count.  Beta masses are scaled to the beta CDF's difference
     across the window, and the ``_END_BLOCKS`` at an end where the density
     or its slope is unbounded (a or b below 2) take CDF differences
-    (Gauss-Legendre blocks there moved bounds by up to 7.5e-7).  At the top
-    of the support, where the pmf may be singular, beta-binomial blocks sum
-    their counts (blocks at the bottom hold one count each).
+    (Gauss-Legendre blocks there moved bounds by up to 7.5e-7).  By the same
+    rule the beta-binomial ``_END_BLOCKS`` at the top of the support sum
+    their counts one by one where b is below 2, the pmf or its slope being
+    unbounded there; elsewhere they take Gauss-Legendre like the rest
+    (blocks at the bottom hold one count each).
     """
     a, b, lo, hi = window[:4]
     if family == BETA_JEFFREYS:
@@ -1214,7 +1223,7 @@ def _stratum_masses(remainder: int, window, family: str, edges: np.ndarray) -> n
     mass = np.empty(len(width))
     mass[one] = pmf[:single]
     mass[wide] = (span / 2.0) * (pmf[single : single + points] + pmf[single + points :])
-    if hi == remainder:
+    if hi == remainder and b < 2.0:
         cut = edges[-min(_END_BLOCKS, len(width)) - 1 :].astype(np.int64)
         atoms = _betabin_pmf(remainder, a, b, np.arange(cut[0], cut[-1]))
         mass[len(width) + 1 - len(cut) :] = np.add.reduceat(atoms, cut[:-1] - cut[0])
@@ -1258,6 +1267,7 @@ def _segment_log_yields(strata, vector, family: str, specs, tail: float) -> _Log
     centre, mass, spread = np.zeros(1), np.ones(1), np.zeros(1)
     zero = 1.0  # a yield of 0 takes no relevant count, sampled or not, in any stratum
     summed = False  # whether blocks of two strata were summed
+    core = (-math.inf, math.inf)
     # One stratum's blocks are coarse only in tails far beyond the bounds read.  Strata
     # that are summed take coarser blocks throughout, a sum being smoother than its parts.
     per_sd, most, core_tail = (
@@ -1273,6 +1283,9 @@ def _segment_log_yields(strata, vector, family: str, specs, tail: float) -> _Log
             centre, zero = centre + r, zero * (r == 0)
             continue
         window = _stratum_window(population, sample, r, family, spec, core_tail)
+        if len(strata) == 1:
+            with np.errstate(divide="ignore"):  # a core from a yield of 0 has no lower edge
+                core = tuple(np.log([r + window[4], r + window[5] + discrete]).tolist())
         edges = _block_edges(remainder, r, window, family, per_sd, most)
         width = np.diff(edges)
         part = _stratum_masses(remainder, window, family, edges)
@@ -1302,7 +1315,7 @@ def _segment_log_yields(strata, vector, family: str, specs, tail: float) -> _Log
         return _LogYields(log_y, mass, spread, zero, total, 0.0, 0.0)
     mean = np.sum(mass * log_y) / total
     sd = math.sqrt(np.sum(mass * ((log_y - mean) ** 2 + spread)) / total)
-    return _LogYields(log_y, mass, spread, zero, total, float(mean), sd)
+    return _LogYields(log_y, mass, spread, zero, total, float(mean), sd, core)
 
 
 def _stacks(lengths: list[int]) -> list[list[int]]:
@@ -1331,8 +1344,9 @@ def _nodes(segs: list[_LogYields], h: float) -> list[tuple[int, np.ndarray, floa
         for seg, begin, end in zip(stack, begins, ends):
             # Log-yields increase: only a segment's ends can lie beyond its reach.
             part, reach = x[begin:end], _LOG_SPAN * seg.sd
-            if part[0] < seg.mean - reach or part[-1] > seg.mean + reach:
-                np.clip(part, seg.mean - reach, seg.mean + reach, out=part)
+            low, high = max(seg.core[0], seg.mean - reach), min(seg.core[1], seg.mean + reach)
+            if part[0] < low or part[-1] > high:
+                np.clip(part, low, high, out=part)
         x /= h
         j = np.floor(x)
         d = x - j

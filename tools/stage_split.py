@@ -12,7 +12,9 @@ realization: its wall time less that of the wrapped stages it calls.
 posterior blocks tabulated per realization (``intervals._block_edges``),
 and "masses/bound" the tail masses the exact search evaluates per bound it
 searches: one at each bound's lower end, and one per probe, as scored by
-``intervals.ndtri``.  The timers add about a microsecond per call, so the
+``intervals.ndtri``.  "cells/pair" is the mean of len(t1) x len(t0), the
+cells of one convolution, over the pairs ``intervals._lattice_quantiles``
+reads.  The timers add about a microsecond per call, so the
 table locates time; ``perfbench`` measures it.
 """
 
@@ -42,14 +44,21 @@ STAGES = (
     ("exact search", intervals, "_quantile_search"),
 )
 
-# (count, module, attribute, what one call adds, from its first argument and result).
+# (count, module, attribute, what one call adds, from its arguments and result).
 # "probes" relies on the exact search being the one caller in intervals.py
 # that hands ndtri an array, one score per bound it probes; the other calls
 # pass a scalar.  A new array call there would inflate masses/bound.
 COUNTS = (
-    ("blocks", intervals, "_block_edges", lambda first, edges: len(edges) - 1),
-    ("searched", intervals, "_quantile_search", lambda first, bounds: len(bounds)),
-    ("probes", intervals, "ndtri", lambda first, s: np.size(s) * isinstance(first, np.ndarray)),
+    ("blocks", intervals, "_block_edges", lambda args, edges: len(edges) - 1),
+    ("searched", intervals, "_quantile_search", lambda args, bounds: len(bounds)),
+    ("probes", intervals, "ndtri", lambda args, s: np.size(s) * isinstance(args[0], np.ndarray)),
+    ("pairs", intervals, "_lattice_quantiles", lambda args, out: len(args[1])),
+    (
+        "cells",
+        intervals,
+        "_lattice_quantiles",
+        lambda args, out: sum(len(t1) * len(t0) for _, (_, t1, _), (_, t0, _) in args[1]),
+    ),
 )
 
 
@@ -87,7 +96,7 @@ def split(scenario: str, realizations: int, seed: int) -> dict[str, float]:
     def counting(name, fn, adds):
         def counted(*args):
             result = fn(*args)
-            counts[name] += adds(args[0], result)
+            counts[name] += adds(args, result)
             return result
 
         return counted
@@ -111,6 +120,7 @@ def split(scenario: str, realizations: int, seed: int) -> dict[str, float]:
     row["blocks"] = counts["blocks"] / realizations
     searched = counts["searched"]
     row["masses/bound"] = (searched + counts["probes"]) / searched if searched else math.nan
+    row["cells/pair"] = counts["cells"] / counts["pairs"] if counts["pairs"] else math.nan
     return row
 
 
