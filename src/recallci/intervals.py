@@ -648,7 +648,7 @@ def _segment_posteriors(strata, counts, specs, tail: float):
     return rows.reshape(-1), _Posteriors(np.array(firsts, dtype=float), lengths, padded, mean, var)
 
 
-# Cells per stack (``_stacks``): elements x longest outer support in the exact
+# Cells per stack (``_stacks``): elements x longest y1 support in the exact
 # search, rows x longest table on the lattice.  Bounds the working arrays at a
 # quarter megabyte each.
 _CHUNK_CELLS = 1 << 15
@@ -657,38 +657,31 @@ _TINY_MASS = 1e-300
 _EPS_MASS = 2.0**-53
 
 
-def _inner_index(t, ratio, outer, first, length, by_y0):
-    """Per outer yield, the inner table index of the atoms at or below t.
+def _inner_index(t, ratio, outer, first, length):
+    """Per y1, the y0 table index of the atoms at or below t.
 
-    Rows are elements: ``outer`` holds each one's outer yields, rising along
-    the row, and the other arguments one value each.  With ``by_y0`` the
-    outer yields are y0 and the index is 1 + the largest y1 with
-    y1 / (y1 + y0) <= t, less the smallest y1 of the support; else the outer
-    yields are y1 and the index is the smallest y0 with an atom at or below
-    t, less the smallest y0.  ``ratio`` is t / (1 - t) (y0 outer) or
-    (1 - t) / t (y1 outer).  The estimate from it stands where it lies clear
-    of every integer; elsewhere the atoms' own quotients correct it, one
-    step at a time until no step moves.
+    Rows are elements: ``outer`` holds each one's y1 yields, rising along
+    the row, and the other arguments, of its y0 support, one value each.
+    The index is the smallest y0 with y1 / (y1 + y0) <= t, less the smallest
+    y0 of the support.  ``ratio`` is (1 - t) / t.  The estimate from it
+    stands where it lies clear of every integer; elsewhere the atoms' own
+    quotients correct it, one step at a time until no step moves.
     """
     # Counts are kept to the support and one past its end, where the index
     # saturates; NaN from 0 * inf at t <= 0 takes the far end.
-    if by_y0:
-        lo, hi, toward = first - 1.0, first + length - 1.0, np.floor
-    else:
-        lo, hi, toward = first, first + length, np.ceil
+    lo, hi = first, first + length
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = outer * ratio[:, None]
-        k = toward(x)
+        k = np.ceil(x)
         k -= lo[:, None]
         np.fmax(np.fmin(k, length[:, None], out=k), 0.0, out=k)
         # x is within 3u|x| of its exact value (three roundings, u = 2^-53).
         # A quotient y1 / (y1 + y0), rounded once, can fall on the other side
-        # of t than its exact value only within u |x| (1 + ratio) of x in y1
-        # (y0 outer) or u outer (1 + ratio) in y0 (y1 outer).  The margin,
-        # 16u (1 + ratio) times the row's largest outer yield and, with y0
-        # outer, |ratio|, is over twice their sum: beyond it from every integer
-        # the loop would not move the estimate.  NaN, inf and the rest run it.
-        margin = 2.0**-49 * outer[:, -1] * (1.0 + ratio) * (np.abs(ratio) if by_y0 else 1.0)
+        # of t than its exact value only within u y1 (1 + ratio) of x in y0.
+        # The margin, 16u (1 + ratio) times the row's largest y1, is over
+        # twice their sum: beyond it from every integer the loop would not
+        # move the estimate.  NaN, inf and the rest run it.
+        margin = 2.0**-49 * outer[:, -1] * (1.0 + ratio)
         x -= np.rint(x)
         near = ~(np.abs(x, out=x) > margin[:, None])
         if near.any():
@@ -696,12 +689,7 @@ def _inner_index(t, ratio, outer, first, length, by_y0):
             c_lo, c_hi, y, t = lo[rows], hi[rows], outer[rows, cols], t[rows]
             c = k[rows, cols] + c_lo
             while True:
-                if by_y0:
-                    up = c + 1.0
-                    step = (up / (up + y) <= t).astype(float) - (c / (c + y) > t)
-                else:
-                    down = c - 1.0
-                    step = (y / (y + c) > t).astype(float) - (y / (y + down) <= t)
+                step = (y / (y + c) > t).astype(float) - (y / (y + (c - 1.0)) <= t)
                 moved = np.fmax(np.fmin(c + step, c_hi), c_lo)
                 if np.array_equal(moved, c):
                     break
@@ -710,71 +698,60 @@ def _inner_index(t, ratio, outer, first, length, by_y0):
     return k
 
 
-def _inner_tables(inner: _Posteriors, by_y0: bool):
-    """Flat tables over (row, inner index) of the inner segment.
+def _inner_tables(post0: _Posteriors):
+    """Flat tables over (row, index) of the unretrieved segment.
 
-    The first half holds the mass of atoms at or below t for each inner
-    index, the second half the mass above; ``pmf`` holds the probability of
-    the inner yield at each index.  Rows are ``stride`` apart.
+    The first half holds the mass of the y0 at or above each index, the
+    atoms at or below t; the second half the mass below it.  ``pmf`` holds
+    the probability of the y0 at each index.  Rows are ``stride`` apart.
     """
-    zeros = np.zeros((len(inner.pmf), 1))
-    pmf = np.hstack([inner.pmf, zeros])
-    below = np.cumsum(np.hstack([zeros, inner.pmf]), axis=1)
+    zeros = np.zeros((len(post0.pmf), 1))
+    pmf = np.hstack([post0.pmf, zeros])
+    below = np.cumsum(np.hstack([zeros, post0.pmf]), axis=1)
     at_or_above = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
-    # With y0 outer the atoms at or below t are the inner yields below the
-    # index; with y1 outer, those at or above it.
-    halves = (below, at_or_above) if by_y0 else (at_or_above, below)
-    return np.concatenate([h.ravel() for h in halves]), pmf.ravel(), pmf.shape[1]
+    return np.concatenate([at_or_above.ravel(), below.ravel()]), pmf.ravel(), pmf.shape[1]
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper, tail):
-    """Posterior quantiles of recall, summing over one segment's yields.
+def _quantile_search(post1, rows1, post0, rows0, tables, upper, tail):
+    """Posterior quantiles of recall, summing over the retrieved yields.
 
-    Each element is an (outer row, inner row, side) triple; ``upper``
-    selects the upper bound (mass above t falls to ``tail``) instead of the
-    lower one (mass at or below t reaches ``tail``).  Each element keeps a
-    bracket: t_lo, where the tail mass has not crossed, starts just below
-    its smallest atom, and t_hi, where it has, at its largest atom.  The
-    first probe is a logit-normal approximation of the quantile; the next
-    ones step away from it, doubling the step, until the crossing is seen
-    from both sides, and then interpolate on the normal scores of the tail
-    masses (Illinois).  Once no outer yield has more than one atom between
-    the ends, those atoms are sorted and their masses accumulated from the
-    lower end's tail mass.
+    Each element is a (row1, row0, side) triple; ``upper`` selects the
+    upper bound (mass above t falls to ``tail``) instead of the lower one
+    (mass at or below t reaches ``tail``).  Each element keeps a bracket:
+    t_lo, where the tail mass has not crossed, starts just below its
+    smallest atom, and t_hi, where it has, at its largest atom.  The first
+    probe is a logit-normal approximation of the quantile; the next ones
+    step away from it, doubling the step, until the crossing is seen from
+    both sides, and then interpolate on the normal scores of the tail
+    masses (Illinois).  Once no y1 has more than one atom between the ends,
+    those atoms are sorted and their masses accumulated from the lower
+    end's tail mass.
     """
     table, pmf, stride = tables
-    pmf_base = (inner_rows * stride).astype(float)
+    pmf_base = (rows0 * stride).astype(float)
     tail_base = pmf_base + np.where(upper, len(table) // 2, 0)
-    first_i = inner.first[inner_rows]
-    length_i = inner.length[inner_rows].astype(float)
-    # Outer yields along the rows, zero mass past each element's support.
-    length_o = outer.length[outer_rows]
-    width = int(length_o.max())
+    y0_lo = post0.first[rows0]
+    length0 = post0.length[rows0].astype(float)
+    # y1 yields along the rows, zero mass past each element's support.
+    length1 = post1.length[rows1]
+    width = int(length1.max())
     steps = np.arange(width)
-    w = outer.pmf[outer_rows, :width]
-    first_o = outer.first[outer_rows]
-    outer_y = first_o[:, None] + steps
-    valid = steps < length_o[:, None]
-
-    ends_o, ends_i = (first_o, first_o + length_o - 1.0), (first_i, first_i + length_i - 1.0)
-    (y1_lo, y1_hi), (y0_lo, y0_hi) = (ends_i, ends_o) if by_y0 else (ends_o, ends_i)
-    post1, rows1, post0, rows0 = (
-        (inner, inner_rows, outer, outer_rows) if by_y0 else (outer, outer_rows, inner, inner_rows)
-    )
+    w = post1.pmf[rows1, :width]
+    y1_lo = post1.first[rows1]
+    y1 = y1_lo[:, None] + steps
+    valid = steps < length1[:, None]
+    y1_hi, y0_hi = y1_lo + length1 - 1.0, y0_lo + length0 - 1.0
     mu1, var1, mu0, var0 = post1.mean[rows1], post1.var[rows1], post0.mean[rows0], post0.var[rows0]
-    span_scale = y0_hi if by_y0 else y1_hi
     target = ndtri(tail)
 
     def ratio(t):
-        if by_y0:
-            return t / (1.0 - t)
         # No atom lies at or below t <= 0 unless y1 = 0 and t = 0, which the
         # search never evaluates.
         return np.where(t > 0.0, (1.0 - t) / t, np.inf)
 
     def index(t, r, live):
-        return _inner_index(t, r, outer_y[live], first_i[live], length_i[live], by_y0)
+        return _inner_index(t, r, y1[live], y0_lo[live], length0[live])
 
     def mass(idx, live):
         gathered = table[(idx + tail_base[live, None]).astype(np.int64)]
@@ -785,7 +762,7 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
         # element left in the search) it sums pairwise.
         return np.cumsum(gathered, axis=1, out=gathered)[:, -1]
 
-    m = len(outer_rows)
+    m = len(rows1)
     cols = np.arange(m)
     t_lo = np.nextafter(y1_lo / (y1_lo + y0_hi), -np.inf)
     t_hi = y1_hi / (y1_hi + y0_lo)
@@ -800,7 +777,7 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
     p0 = np.where(y1_lo == 0.0, post1.pmf[rows1, 0], 0.0)
     t_hi = np.where(np.where(upper, 1.0 - p0 <= tail, p0 >= tail), 0.0, t_hi)
     r_lo, r_hi = ratio(t_lo), ratio(t_hi)  # each end's ratio, kept beside it
-    m_lo = mass(np.zeros((m, width)) + (0.0 if by_y0 else length_i[:, None]), cols)
+    m_lo = mass(np.zeros((m, width)) + length0[:, None], cols)
     # Signed distance of each end's tail mass past the target in normal
     # scores, negative at t_lo and not negative at t_hi; an end kept twice in
     # a row has its distance halved (Illinois).
@@ -812,10 +789,10 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
         # Adjacent floats: the crossing atom can only be t_hi itself.
         stuck = (mid <= t_lo) | (mid >= t_hi)
         out[cols[stuck]] = t_hi[stuck]
-        # At most one atom per outer yield between the ends once the ratio
-        # moves by less than one count over the largest outer yield.  A yield
-        # pinned at 0 makes the move inf - inf or 0 x inf: NaN, never near.
-        near = (np.abs(r_hi - r_lo) * span_scale[cols] < 1.0) & ~stuck
+        # At most one atom per y1 between the ends once the ratio moves by
+        # less than one count over the largest y1.  A yield pinned at 0
+        # makes the move inf - inf or 0 x inf: NaN, never near.
+        near = (np.abs(r_hi - r_lo) * y1_hi[cols] < 1.0) & ~stuck
         if near.any():
             live = cols[near]
             i_lo, i_hi = index(t_lo[near], r_lo[near], live), index(t_hi[near], r_hi[near], live)
@@ -823,8 +800,8 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
             single = gap.max(axis=1) <= 1.0
             live = live[single]
             out[live] = _first_crossing(
-                i_lo[single], i_hi[single], gap[single], first_o[live], w[live], pmf,
-                pmf_base[live], first_i[live], m_lo[near][single], upper[live], tail, by_y0,
+                i_lo[single], i_hi[single], gap[single], y1_lo[live], w[live], pmf,
+                pmf_base[live], y0_lo[live], m_lo[near][single], upper[live], tail,
             )
             near[np.flatnonzero(near)[~single]] = False
         keep = ~(near | stuck)
@@ -858,17 +835,16 @@ def _quantile_search(outer, outer_rows, inner, inner_rows, tables, by_y0, upper,
     return out
 
 
-def _first_crossing(i_lo, i_hi, gap, first_o, w, pmf, base, first_i, m_lo, upper, tail, by_y0):
+def _first_crossing(i_lo, i_hi, gap, y1_lo, w, pmf, base, y0_lo, m_lo, upper, tail):
     """The atom between two search ends at which the tail mass crosses ``tail``.
 
     Rows are elements, as in ``_inner_index``; ``gap`` is |i_hi - i_lo|, 0
-    past each support.  On a row where it is at most 1, each outer yield has
-    at most one atom between the ends, at table index min(i_lo, i_hi).
+    past each support.  On a row where it is at most 1, each y1 has at most
+    one atom between the ends, at table index min(i_lo, i_hi).
     """
     rows, cols = np.nonzero(gap)
     at = np.minimum(i_lo[rows, cols], i_hi[rows, cols])
-    inner, y = first_i[rows] + at, first_o[rows] + cols
-    y1, y0 = (inner, y) if by_y0 else (y, inner)
+    y1, y0 = y1_lo[rows] + cols, y0_lo[rows] + at
     atoms = y1 / (y1 + y0)
     # Each row's atoms ascending, ties in row order; masses summed in that order.
     order = np.lexsort((atoms, rows))
@@ -888,24 +864,16 @@ def _first_crossing(i_lo, i_hi, gap, first_o, w, pmf, base, first_i, m_lo, upper
 def _exact_quantiles(post1, post0, rows1, rows0, upper, tail):
     """Posterior quantiles of recall for each (row1, row0, side) element.
 
-    Each element sums over the segment whose support is shorter.  Elements
-    run in ``_stacks`` of their outer support lengths, so the working arrays
-    stay small; each element's result depends only on its own pmfs.
+    Each element sums over its y1 support.  Elements run in ``_stacks`` of
+    their y1 support lengths, so the working arrays stay small; each
+    element's result depends only on its own pmfs.
     """
     out = np.empty(len(rows1))
-    lengths1, lengths0 = post1.length[rows1], post0.length[rows0]
-    for by_y0, pick in ((True, lengths0 <= lengths1), (False, lengths0 > lengths1)):
-        idx = np.flatnonzero(pick)
-        if not len(idx):
-            continue
-        outer, inner = (post0, post1) if by_y0 else (post1, post0)
-        rows_o, rows_i = (rows0, rows1) if by_y0 else (rows1, rows0)
-        tables = _inner_tables(inner, by_y0)
-        for stack in _stacks(outer.length[rows_o[idx]].tolist()):
-            part = idx[stack]
-            out[part] = _quantile_search(
-                outer, rows_o[part], inner, rows_i[part], tables, by_y0, upper[part], tail
-            )
+    tables = _inner_tables(post0)
+    for stack in _stacks(post1.length[rows1].tolist()):
+        out[stack] = _quantile_search(
+            post1, rows1[stack], post0, rows0[stack], tables, upper[stack], tail
+        )
     return out
 
 
@@ -1090,9 +1058,9 @@ exact ones at or above it, 2.0e-5 from 3,000 and 5.2e-5 from 1,000.
 """
 _EXACT_SD_MAX = 1e3
 """Largest posterior yield sd of a segment for exact bounds: the exact
-search costs time and memory in proportion to the support, about 16 sds.  A
-pair past it with few atoms has a segment all but fixed beside a wide one,
-which the lattice places to first order."""
+search sums over Y1's support, about 16 sds, and costs time and memory in
+proportion to it.  A pair past it with few atoms has a segment all but fixed
+beside a wide one, which the lattice places to first order."""
 
 
 class _LogYields(NamedTuple):

@@ -797,35 +797,33 @@ SUPPORT_STARTS = (0, 1, 40, 10**9 - 100)
 
 @st.composite
 def index_cases(draw):
-    """One ``_inner_index`` call: an orientation and one to three elements,
-    each a row of rising outer yields, an inner support and a t at an atom,
-    beside one, or away from all of them."""
-    by_y0 = draw(st.booleans())
+    """One ``_inner_index`` call: one to three elements, each a row of
+    rising y1 yields, a y0 support and a t at an atom, beside one, or away
+    from all of them."""
     width = draw(st.integers(1, 30))
     elements = []
     for _ in range(draw(st.integers(1, 3))):
-        first_o = draw(st.sampled_from(SUPPORT_STARTS)) + draw(st.integers(0, 30))
-        first_i = draw(st.sampled_from(SUPPORT_STARTS)) + draw(st.integers(0, 30))
+        first1 = draw(st.sampled_from(SUPPORT_STARTS)) + draw(st.integers(0, 30))
+        first0 = draw(st.sampled_from(SUPPORT_STARTS)) + draw(st.integers(0, 30))
         length = draw(st.integers(1, 30))
         # A bound is searched only where its segment's sample holds a relevant
         # document, so no search pairs y1 = 0 with y0 = 0.
-        if first_o == first_i == 0:
-            first_o, first_i = (1, 0) if draw(st.booleans()) else (0, 1)
+        if first1 == first0 == 0:
+            first1, first0 = (1, 0) if draw(st.booleans()) else (0, 1)
         kind = draw(st.sampled_from(("atom", "any", "special")))
         if kind == "atom":
-            # Past the inner support too, so the index saturates at both ends.
-            y_o = first_o + draw(st.integers(0, width - 1))
-            y_i = first_i + draw(st.integers(-5, length + 5))
-            y1, y0 = (max(y_i, 0), y_o) if by_y0 else (y_o, max(y_i, 0))
+            # Past the y0 support too, so the index saturates at both ends.
+            y1 = first1 + draw(st.integers(0, width - 1))
+            y0 = max(first0 + draw(st.integers(-5, length + 5)), 0)
             atom = y1 / (y1 + y0)
             ulps = draw(st.sampled_from((0, 1, -1, 7, -7)) | st.integers(-2**30, 2**30))
             t = min(atom + ulps * float(np.spacing(atom)), 1.0)
         elif kind == "any":
             t = draw(st.floats(0.0, 1.0))
-        else:  # 0.5 has ratio 1; t <= 0 an infinite ratio with y1 outer
+        else:  # 0.5 has ratio 1; t <= 0 an infinite ratio
             t = draw(st.sampled_from((0.5, 0.0, -5e-324, 1.0)))
-        elements.append((t, first_o, first_i, length))
-    return by_y0, width, elements
+        elements.append((t, first1, first0, length))
+    return width, elements
 
 
 class TestExactBetaBinomial:
@@ -833,10 +831,8 @@ class TestExactBetaBinomial:
 
     def test_equals_exhaustive_enumeration(self):
         gen = np.random.default_rng(20130217)
-        checked = 0
+        cases = []
         for trial in range(360):
-            method = BETABIN_METHODS[trial % 3]
-            level = self.LEVELS[trial % len(self.LEVELS)]
             retrieved = random_strata(gen, 1 + (trial % 7 == 0), 40)
             unretrieved = random_strata(gen, 1 + (trial % 5 == 0), 40)
             if trial % 11 == 0:  # census stratum
@@ -845,6 +841,16 @@ class TestExactBetaBinomial:
             if trial % 13 == 0:  # all-relevant sample
                 n, s, _ = unretrieved[0]
                 unretrieved[0] = (n, s, s)
+            method, level = BETABIN_METHODS[trial % 3], self.LEVELS[trial % len(self.LEVELS)]
+            cases.append((method, level, retrieved, unretrieved))
+        # One pair both ways round: Y0's support the longer, then Y1's.
+        pair = ([(300, 60, 20)], [(900, 40, 3)])
+        for method in BETABIN_METHODS:
+            for level in self.LEVELS:
+                cases += [(method, level, *pair), (method, level, *pair[::-1])]
+        checked = 0
+        for case in cases:
+            method, level, retrieved, unretrieved = case
             prior = prior_of(method)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -854,10 +860,10 @@ class TestExactBetaBinomial:
                 )
             if tie:  # e.g. masses 1/3 * 3/4 summing to exactly alpha/2 = 1/4
                 continue
-            assert lower == pytest.approx(expected[0], abs=1e-12), (trial, retrieved, unretrieved)
-            assert upper == pytest.approx(expected[1], abs=1e-12), (trial, retrieved, unretrieved)
+            assert lower == pytest.approx(expected[0], abs=1e-12), case
+            assert upper == pytest.approx(expected[1], abs=1e-12), case
             checked += 1
-        assert checked >= 300
+        assert checked >= 330
 
     @pytest.mark.parametrize("method", BETABIN_METHODS)
     @pytest.mark.parametrize(
@@ -911,6 +917,8 @@ class TestExactBetaBinomial:
             (2000, 100, 15000, 100),
             (900, 30, 12000, 800),
             (10**9, 10**9 - 40, 10**9, 10**9 - 60),
+            (5_000, 300, 2_600, 400),  # Y0's support the shorter for most pairs
+            (20_000, 400, 5_000, 4_000),  # a near-census Y0 beside a wide Y1
         ],
     )
     def test_batch_bounds_equal_each_pair_alone(self, method, design):
@@ -1025,26 +1033,25 @@ class TestExactBetaBinomial:
     @given(index_cases())
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_inner_index_counts_atoms(self, case):
-        """Against its definition: with y0 outer, the count of inner atoms
-        whose own quotient y1 / (y1 + y0) is at or below t; with y1 outer,
-        the count above t (the index of the smallest y0 at or below it)."""
-        by_y0, width, elements = case
-        t, first_o, first_i, length = (np.array(v, dtype=float) for v in zip(*elements))
-        outer = first_o[:, None] + np.arange(width)
+        """Against its definition: per y1, the count of atoms whose own
+        quotient y1 / (y1 + y0) is above t (the index of the smallest y0 at
+        or below it)."""
+        width, elements = case
+        t, first1, first0, length = (np.array(v, dtype=float) for v in zip(*elements))
+        y1 = first1[:, None] + np.arange(width)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # As the search computes it.
-            ratio = t / (1.0 - t) if by_y0 else np.where(t > 0.0, (1.0 - t) / t, np.inf)
-        index = intervals._inner_index(t, ratio, outer, first_i, length, by_y0)
+            ratio = np.where(t > 0.0, (1.0 - t) / t, np.inf)
+        index = intervals._inner_index(t, ratio, y1, first0, length)
         for e, (t_e, _, first, count) in enumerate(elements):
-            inner = first + np.arange(count, dtype=float)
-            for j, y in enumerate(outer[e]):
-                quotient = inner / (inner + y) if by_y0 else y / (y + inner)
-                expected = np.sum(quotient <= t_e) if by_y0 else np.sum(quotient > t_e)
-                assert index[e, j] == expected, (by_y0, t_e, y, first, count)
+            y0 = first + np.arange(count, dtype=float)
+            for j, y in enumerate(y1[e]):
+                expected = np.sum(y / (y + y0) > t_e)
+                assert index[e, j] == expected, (t_e, y, first, count)
 
     def test_work_on_small_realizations(self, monkeypatch):
-        """Realizations 0 and 4 of ``small``: the exact search evaluates as
-        many tail masses as it always has, and all but a few of the cells it
+        """Realizations 0 and 4 of ``small``: the exact search takes as many
+        index calls as its path pins, and all but a few of the cells it
         indexes skip the exact-quotient correction, which realization 4
         reaches."""
         calls, cells, corrected = [], [], []
@@ -1072,9 +1079,9 @@ class TestExactBetaBinomial:
             master_seed=20130217, realizations=5, samples_per_realization=500,
             methods=BETABIN_METHODS,
         )
-        # The search path takes these calls (over 2,658,898 and 1,439,378
+        # The search path takes these calls (over 2,246,287 and 1,439,378
         # cells); a change to the path changes the count.
-        for index, expected_calls in ((0, 423), (4, 202)):
+        for index, expected_calls in ((0, 275), (4, 202)):
             del calls[:], cells[:], corrected[:]
             evaluation._evaluate_realization(builtin_scenario("small"), config, index)
             assert len(calls) == expected_calls
