@@ -527,17 +527,22 @@ def monte_carlo_interval(
 _TAIL_SHARE = 1e-15
 
 
-def _prevalence_range(a: float, b: float, tail: float) -> tuple[float, float]:
-    """Prevalences below and above which a Beta(a, b) posterior holds ``tail`` each.
+def _prevalence_range(a, b, tail) -> list[tuple[float, float]]:
+    """Prevalences below and above which each Beta(a, b) posterior holds its
+    ``tail``, for sequences a, b and tail: one betaincinv call for all.
 
     Where the inversion fails (a tail too small for it) the range reaches 0 or 1.
     """
-    lo, hi = float(betaincinv(a, b, tail)), float(betaincinv(b, a, tail))
-    return (lo if lo >= 0.0 else 0.0), (1.0 - hi if hi >= 0.0 else 1.0)
+    inv = betaincinv([*a, *b], [*b, *a], [*tail, *tail]).tolist()
+    return [
+        (lo if lo >= 0.0 else 0.0, 1.0 - hi if hi >= 0.0 else 1.0)
+        for lo, hi in zip(inv[: len(a)], inv[len(a) :])
+    ]
 
 
-def _count_window(remainder: int, a: float, b: float, tail: float) -> tuple[int, int]:
-    """Counts outside which a beta-binomial(remainder, a, b) holds at most 2 ``tail`` a side.
+def _count_window(remainder: int, prevalence: tuple[float, float], tail: float) -> tuple[int, int]:
+    """Counts outside which a beta-binomial(remainder, a, b) holds at most 2 ``tail`` a side,
+    given the ``_prevalence_range`` of its Beta(a, b) at ``tail``.
 
     The prevalence leaves its ``tail`` range with probability ``tail``; a
     binomial count at mean m strays below m - z sqrt(m) or above
@@ -547,7 +552,7 @@ def _count_window(remainder: int, a: float, b: float, tail: float) -> tuple[int,
     """
     if tail <= 0.0:
         return 0, remainder
-    lo, hi = _prevalence_range(a, b, tail)
+    lo, hi = prevalence
     z = math.sqrt(2.0 * math.log(1.0 / tail))
     m_lo, m_hi = remainder * lo, remainder * hi
     return (
@@ -582,11 +587,12 @@ def _stratum_posteriors(
     out = {}
     for group in groups:
         # An atom outside its window has probability at most tail / (remainder + 1).
-        windows = [
-            _count_window(remainder, spec.alpha + r, spec.beta + sample - r,
-                          tail / (2 * (remainder + 1)))
-            for r in group
-        ]
+        w_tail = tail / (2 * (remainder + 1))
+        ranges = _prevalence_range(
+            [spec.alpha + r for r in group], [spec.beta + sample - r for r in group],
+            [w_tail] * len(group),
+        )
+        windows = [_count_window(remainder, prevalence, w_tail) for prevalence in ranges]
         k_lo, k_hi = min(w[0] for w in windows), max(w[1] for w in windows)
         ks = np.arange(k_lo, k_hi + 1, dtype=float)
         log_c = gammaln(remainder + 1.0) - gammaln(ks + 1.0) - gammaln(remainder - ks + 1.0)
@@ -649,8 +655,9 @@ def _segment_posteriors(strata, counts, specs, tail: float):
 
 
 # Cells per stack (``_stacks``): elements x longest y1 support in the exact
-# search, rows x longest table on the lattice.  Bounds the working arrays at a
-# quarter megabyte each.
+# search, strata x most pmf points (two an edge) in tabulation, rows x
+# longest table on the lattice.  Bounds the working arrays at a quarter
+# megabyte each.
 _CHUNK_CELLS = 1 << 15
 # Tail masses are scored within [_TINY_MASS, 1 - _EPS_MASS], where ndtri is finite.
 _TINY_MASS = 1e-300
@@ -1020,13 +1027,21 @@ def most_conservative_prior(population: int, sample: int) -> PriorSpec:
 # nearest nodes of the lattice u = j * h of log-yields, in the proportions
 # that keep its mean log-yield, and one convolution of the two node tables
 # gives the distribution of the logit on the same lattice.  A one-stratum
-# segment's table stops at the edges of its core (``_stratum_window``):
+# segment's table stops at the edges of its core (``_stratum_windows``):
 # blocks beyond them, at most the core's tail a side, are spread as if at
 # the edge.  The running sums of the logit's distribution,
 # less a second-difference correction for the variance that the spreading
 # adds, are the CDF of logit R midway between nodes; the equal-tail quantiles
 # are read off by inverse cubic interpolation and mapped back through the
 # logistic function.  A yield of 0 is a point mass at R = 0 or R = 1.
+#
+# A batch's segments are tabulated together (``_tabulate``): their strata in
+# stacks of at most ``_CHUNK_CELLS`` pmf points, two an edge, each stack one
+# pass over its edges, one over its masses and one over its one-stratum
+# segments' tables.
+# Every element takes the IEEE operations it would take alone, and each
+# per-segment sum (a total, mean, sd or scale) runs over the segment's own
+# blocks, so a segment keeps its bits in any stack.
 #
 # h depends on the pair alone.  Pairs of one h are read together: each pair's
 # convolution is its own, and the reader stacks them, padded in front, and
@@ -1076,42 +1091,63 @@ class _LogYields(NamedTuple):
     core: tuple[float, float] = (-math.inf, math.inf)  # log-yields where the node tables stop
 
 
-def _betabin_pmf(remainder: int, a: float, b: float, k: np.ndarray) -> np.ndarray:
-    """Beta-binomial(remainder, a, b) pmf, continued to real counts by log-gamma."""
-    return np.exp(
-        gammaln(remainder + 1.0) - gammaln(k + 1.0) - gammaln(remainder - k + 1.0)
-        + gammaln(a + k) + gammaln(b + remainder - k)
-        - gammaln(a + b + remainder) - betaln(a, b)
-    )
+def _betabin_pmf(remainder, a, b, k: np.ndarray, lengths) -> np.ndarray:
+    """Beta-binomial pmfs, continued to real counts by log-gamma: run i of
+    ``lengths`` counts k is beta-binomial(remainder[i], a[i], b[i])."""
+    remainder, a, b = np.array([remainder, a, b], dtype=float)
+    # The terms free of k once a run; the sum taken in place, term by term in
+    # the expression's order, so that a stack keeps few arrays of its length.
+    log_p = gammaln(remainder + 1.0).repeat(lengths)
+    log_p -= gammaln(k + 1.0)
+    log_p -= gammaln(remainder.repeat(lengths) - k + 1.0)
+    log_p += gammaln(a.repeat(lengths) + k)
+    log_p += gammaln((b + remainder).repeat(lengths) - k)
+    log_p -= gammaln(a + b + remainder).repeat(lengths)
+    log_p -= betaln(a, b).repeat(lengths)
+    return np.exp(log_p, out=log_p)
 
 
-def _stratum_window(
-    population: int, sample: int, r: int, family: str, spec: PriorSpec | None, core_tail: float
-):
-    """(a, b, lo, hi, core_lo, core_hi): the posterior's beta parameters, a
-    window of unsampled relevant counts (real ones for a beta posterior)
-    holding all but ``_LATTICE_TAIL`` a side, and a core inside it holding all
-    but ``core_tail`` a side (the whole window when that is no more)."""
-    remainder = population - sample
-    if family == BETA_JEFFREYS:
-        a, b = 0.5 + r, 0.5 + sample - r
+def _stratum_windows(strata, family: str) -> list[tuple]:
+    """(a, b, lo, hi, core_lo, core_hi) of each (population, sample, r, spec,
+    core_tail): the posterior's beta parameters, a window of unsampled
+    relevant counts (real ones for a beta posterior) holding all but
+    ``_LATTICE_TAIL`` a side, and a core inside it holding all but core_tail a
+    side (the whole window when that is no more).  One ``_prevalence_range``
+    call serves every window and core."""
+    a, b = [], []
+    for _, sample, r, spec, _ in strata:
+        prior = (0.5, 0.5) if family == BETA_JEFFREYS else (spec.alpha, spec.beta)
+        a.append(prior[0] + r)
+        b.append(prior[1] + sample - r)
+    tails = [_LATTICE_TAIL] * len(strata) + [core_tail for *_, core_tail in strata]
+    ranges = _prevalence_range(a + a, b + b, tails)
+    out = []
+    for k, (population, sample, *_, core_tail) in enumerate(strata):
+        remainder = population - sample
+        (lo, hi), (core_lo, core_hi) = (
+            tuple(remainder * p for p in ranges[j]) if family == BETA_JEFFREYS
+            else _count_window(remainder, ranges[j], tails[j])
+            for j in (k, len(strata) + k)
+        )
+        if not core_tail > _LATTICE_TAIL:
+            core_lo, core_hi = lo, hi
+        out.append((a[k], b[k], lo, hi, max(core_lo, lo), min(core_hi, hi)))
+    return out
 
-        def window(tail):
-            return tuple(remainder * p for p in _prevalence_range(a, b, tail))
 
-    else:
-        a, b = spec.alpha + r, spec.beta + sample - r
+class _Grid(NamedTuple):
+    """A stratum's block edges before any array is built (``_block_grid``)."""
 
-        def window(tail):
-            return _count_window(remainder, a, b, tail)
-
-    lo, hi = window(_LATTICE_TAIL)
-    core_lo, core_hi = window(core_tail) if core_tail > _LATTICE_TAIL else (lo, hi)
-    return a, b, lo, hi, max(core_lo, lo), min(core_hi, hi)
+    start: float  # the yield at grid step 0
+    width: float  # a grid step, in log-yield
+    r: int
+    ends: tuple  # the first two edges and the last, in unsampled counts (``_block_grid``)
+    runs: tuple  # (first step, stride, count) of each run of grid steps
+    size: int  # edges, before equal ones merge
 
 
-def _block_edges(remainder: int, r: int, window, family: str, per_sd: int, most: int) -> np.ndarray:
-    """Edges, in unsampled relevant counts, of blocks about sd(log Y) / ``per_sd``
+def _block_grid(remainder: int, r: int, window, family: str, per_sd: int, most: int) -> _Grid:
+    """The grid of a stratum's block edges: blocks about sd(log Y) / ``per_sd``
     wide in log-yield across the window's core, ``most`` of them at most.
 
     Beyond the core, blocks are ``_TAIL_COARSE`` of those steps wide, except
@@ -1128,6 +1164,7 @@ def _block_edges(remainder: int, r: int, window, family: str, per_sd: int, most:
     start, end = max(r + lo, 1.0), r + hi + discrete
     if start > end:
         start = max(r + lo, 1e-6 * end)
+    # math.log, not np.log: a last bit of span, first or last can move a floor or a ceil.
     span = math.log(end / start)
     width = max(min(cv, 1.0) / per_sd, span / most)
     steps = math.ceil(span / width)
@@ -1136,23 +1173,64 @@ def _block_edges(remainder: int, r: int, window, family: str, per_sd: int, most:
     first = math.floor(math.log(max(r + core_lo, start) / start) / width)
     last = max(math.ceil(math.log(min(r + core_hi + discrete, end) / start) / width), first)
     top = max(steps - _END_BLOCKS, last + 1)
-    index = np.concatenate([
-        [0],
-        np.arange(first, 0, -_TAIL_COARSE)[::-1],
-        np.arange(first + 1, last + 1),
-        np.arange(last + _TAIL_COARSE, top, _TAIL_COARSE),
-        np.arange(top, steps + 1),
-    ])
-    edges = start * np.exp(width * index) - r
-    edges[[0, -1]] = start - r, end - r
-    edges = np.concatenate([[lo], np.floor(edges) if discrete else edges])
-    if edges[1] < edges[0]:  # r + lo rounds, so start - r can fall an ulp below lo
-        edges[:2] = edges[1], edges[0]
-    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+    below = len(range(first, 0, -_TAIL_COARSE))
+    runs = (
+        (0, 0, 2),  # the window's lower end, then grid step 0
+        (first - _TAIL_COARSE * (below - 1), _TAIL_COARSE, below),
+        (first + 1, 1, last - first),
+        (last + _TAIL_COARSE, _TAIL_COARSE, len(range(last + _TAIL_COARSE, top, _TAIL_COARSE))),
+        (top, 1, max(steps + 1 - top, 0)),
+    )
+    size = sum(run[2] for run in runs)
+    # The first two edges and the last: the window's lower end, grid step 0 and
+    # the top, where step 0 is not the top.
+    ends = [start - r, end - r] if size > 2 else [end - r]
+    if discrete:
+        ends = [float(math.floor(edge)) for edge in ends]
+    ends[:1] = sorted([lo, ends[0]])  # r + lo rounds, so start - r can fall an ulp below lo
+    return _Grid(start, width, r, tuple(ends), runs, size)
 
 
-def _stratum_masses(remainder: int, window, family: str, edges: np.ndarray) -> np.ndarray:
-    """Posterior mass of the unsampled relevant count in each block.
+def _block_edges(grids: list[_Grid], family: str) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Left and right edges, in unsampled relevant counts, of a stack of
+    strata's blocks, concatenated, and where each stratum's blocks begin
+    (then the end).
+
+    One pass over the stack gives every edge with the operations a stratum
+    alone would take.
+    """
+    runs = [run for grid in grids for run in grid.runs]
+    counts = [count for *_, count in runs]
+    # Run (first, stride, count) from position p holds first + stride (i - p) at position i.
+    starts = itertools.accumulate(counts, initial=0)
+    offset, stride = np.array([
+        [first - step * p for (first, step, _), p in zip(runs, starts)],
+        [step for _, step, _ in runs],
+    ]).repeat(counts, axis=1)
+    index = offset + stride * np.arange(len(offset))
+    sizes = [grid.size for grid in grids]
+    start, width, r = np.array(
+        [[g.start for g in grids], [g.width for g in grids], [g.r for g in grids]]
+    ).repeat(sizes, axis=1)
+    edges = start * np.exp(width * index)
+    edges -= r
+    if family == BETA_BINOMIAL:
+        np.floor(edges, out=edges)
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    edges[[p + i for p, g in zip(bounds, grids) for i in (0, 1, g.size - 1)[: len(g.ends)]]] = [
+        edge for g in grids for edge in g.ends
+    ]
+    # A block between each two unequal edges of a stratum.
+    apart = edges[1:] != edges[:-1]
+    apart[[p - 1 for p in bounds[1:-1]]] = False
+    kept = apart.nonzero()[0]
+    return edges.take(kept), edges.take(kept + 1), kept.searchsorted(bounds).tolist()
+
+
+def _stratum_masses(strata, family: str, left, right, firsts: list[int]) -> np.ndarray:
+    """Posterior mass of the unsampled relevant count in each block of a
+    stack of strata, each given as (remainder, window), whose blocks
+    (``_block_edges``) begin at ``firsts``.
 
     Blocks take two-point Gauss-Legendre integrals of the density, or the
     pmf for one count.  Beta masses are scaled to the beta CDF's difference
@@ -1162,39 +1240,76 @@ def _stratum_masses(remainder: int, window, family: str, edges: np.ndarray) -> n
     rule the beta-binomial ``_END_BLOCKS`` at the top of the support sum
     their counts one by one where b is below 2, the pmf or its slope being
     unbounded there; elsewhere they take Gauss-Legendre like the rest
-    (blocks at the bottom hold one count each).
+    (blocks at the bottom hold one count each).  One density or pmf pass
+    serves the stack; a stratum's scale is summed over its own blocks.
     """
-    a, b, lo, hi = window[:4]
+    blocks = [f1 - f0 for f0, f1 in zip(firsts, firsts[1:])]
+    remainders = [remainder for remainder, _ in strata]
+    a, b = ([window[i] for _, window in strata] for i in (0, 1))
     if family == BETA_JEFFREYS:
-        p = np.minimum(edges / remainder, 1.0)
-        blocks = len(p) - 1
-        low = min(_END_BLOCKS, blocks) if a < 2.0 else 0
-        high = min(_END_BLOCKS, blocks - low) if b < 2.0 else 0
-        below, above = betainc(a, b, p[: low + 1]), betainc(a, b, p[blocks - high :])
-        inner = p[low : blocks - high + 1]
-        width, centre = np.diff(inner), (inner[:-1] + inner[1:]) / 2.0
+        share = np.array(remainders, dtype=float).repeat(blocks)
+        p_left, p_right = np.minimum(left / share, 1.0), np.minimum(right / share, 1.0)
+        ends, cdf_at = [], []  # blocks at either end, and the edges whose CDF they take
+        for (_, (a_, b_, *_)), f0, n in zip(strata, firsts, blocks):
+            low = min(_END_BLOCKS, n) if a_ < 2.0 else 0
+            high = min(_END_BLOCKS, n - low) if b_ < 2.0 else 0
+            ends.append((low, high, len(cdf_at)))
+            # Edge j of the stratum: the left of its first block, or the right of block j - 1.
+            on_right = len(left) + f0 - 1
+            edges = (*range(low + 1), *range(n - high, n + 1))
+            cdf_at.extend(on_right + j if j else f0 for j in edges)
+        lengths = [low + high + 2 for low, high, _ in ends]
+        # Differences of each stratum's CDF values: the low end blocks' masses,
+        # the CDF across the other blocks, the high end blocks' masses.
+        at_edges = np.concatenate([p_left, p_right])[cdf_at]
+        steps = np.diff(betainc(*np.array([a, b]).repeat(lengths, axis=1), at_edges))
+        # Gauss-Legendre on every block; the end blocks then take their CDF differences.
+        width, centre = p_right - p_left, (p_left + p_right) / 2.0
         half = width / (2.0 * math.sqrt(3.0))
-        x = np.concatenate([centre - half, centre + half])
-        density = np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - betaln(a, b))
-        middle = (width / 2.0) * (density[: len(width)] + density[len(width) :])
-        if len(middle):
-            middle *= (above[0] - below[-1]) / np.sum(middle)
-        return np.concatenate([np.diff(below), middle, np.diff(above)])
-    width, left = np.diff(edges), edges[:-1]
+        x = np.empty((2, len(centre)))
+        np.subtract(centre, half, out=x[0])
+        np.add(centre, half, out=x[1])
+        a_1, b_1, beta = np.array(
+            [[v - 1.0 for v in a], [v - 1.0 for v in b], betaln(a, b)]
+        ).repeat(blocks, axis=1)
+        density = np.exp(a_1 * np.log(x) + b_1 * np.log1p(-x) - beta)
+        mass = (width / 2.0) * (density[0] + density[1])
+        scale = [
+            steps[at + low] / np.add.reduce(mass[f0 + low : f0 + n - high]) if n > low + high
+            else 0.0
+            for f0, n, (low, high, at) in zip(firsts, blocks, ends)
+        ]
+        mass *= np.array(scale).repeat(blocks)
+        for f0, n, (low, high, at) in zip(firsts, blocks, ends):
+            if low or high:
+                mass[f0 : f0 + low] = steps[at : at + low]
+                mass[f0 + n - high : f0 + n] = steps[at + low + 1 : at + low + 1 + high]
+        return mass
+    width = right - left
     wide = width > 1.0
-    one = ~wide
     span = width[wide]
     centre = left[wide] + (span - 1.0) / 2.0
     half = span / (2.0 * math.sqrt(3.0))
-    single, points = np.count_nonzero(one), len(span)
-    pmf = _betabin_pmf(remainder, a, b, np.concatenate([left[one], centre - half, centre + half]))
-    mass = np.empty(len(width))
-    mass[one] = pmf[:single]
-    mass[wide] = (span / 2.0) * (pmf[single : single + points] + pmf[single + points :])
-    if hi == remainder and b < 2.0:
-        cut = edges[-min(_END_BLOCKS, len(width)) - 1 :].astype(np.int64)
-        atoms = _betabin_pmf(remainder, a, b, np.arange(cut[0], cut[-1]))
-        mass[len(width) + 1 - len(cut) :] = np.add.reduceat(atoms, cut[:-1] - cut[0])
+    # Each block's points side by side: its one count, or its two Gauss-Legendre points.
+    points = wide + 1
+    ends = np.cumsum(points)
+    at = ends - points
+    k = np.empty(ends[-1] if len(ends) else 0)
+    k[at] = left
+    pair = at[wide]
+    k[pair], k[pair + 1] = centre - half, centre + half
+    cuts = np.concatenate([[0], ends])[firsts].tolist()
+    pmf = _betabin_pmf(remainders, a, b, k, [c1 - c0 for c0, c1 in zip(cuts, cuts[1:])])
+    mass = pmf[at]
+    mass[wide] = (span / 2.0) * (pmf[pair] + pmf[pair + 1])
+    for (remainder, (a_, b_, _, hi, *_)), f0, f1 in zip(strata, firsts, firsts[1:]):
+        if hi == remainder and b_ < 2.0:
+            top = f1 - min(_END_BLOCKS, f1 - f0)
+            cut = np.concatenate([left[top : top + 1], right[top:f1]]).astype(np.int64)
+            atoms = _betabin_pmf(
+                [remainder], [a_], [b_], np.arange(cut[0], cut[-1]), [cut[-1] - cut[0]]
+            )
+            mass[top:f1] = np.add.reduceat(atoms, cut[:-1] - cut[0])
     return mass
 
 
@@ -1222,68 +1337,135 @@ def _merge_blocks(centre: np.ndarray, mass: np.ndarray, spread: np.ndarray):
     return tuple(np.concatenate(pair) for pair in zip(low, merged))
 
 
-def _segment_log_yields(strata, vector, family: str, specs, tail: float) -> _LogYields:
-    """The posterior of a segment's yield given one relevant count and prior per stratum.
+def _log_yields(centre, mass, spread, firsts, zeros, cores) -> list[_LogYields]:
+    """Each segment's ``_LogYields`` from a stack of blocks by increasing
+    yield, the segment's beginning at ``firsts`` (then the end): its blocks
+    of positive yield and mass.  Each total, mean and sd is summed over the
+    segment's own blocks, so a segment keeps its bits in any stack."""
+    keep = np.flatnonzero((centre > 0.0) & (mass > 0.0))
+    y, mass, spread = centre[keep], mass[keep], spread[keep]
+    firsts = np.searchsorted(keep, firsts)
+    spans = list(zip(firsts.tolist(), firsts[1:].tolist()))
+    log_y, spread = np.log(y), spread / (y * y)
+    weighted = mass * log_y
+    totals = [np.add.reduce(mass[f0:f1]) for f0, f1 in spans]
+    means = [
+        np.add.reduce(weighted[f0:f1]) / total if total > 0.0 else 0.0
+        for (f0, f1), total in zip(spans, totals)
+    ]
+    square = mass * ((log_y - np.array(means).repeat(firsts[1:] - firsts[:-1])) ** 2 + spread)
+    out = []
+    for (f0, f1), total, mean, zero, core in zip(spans, totals, means, zeros, cores):
+        seg = log_y[f0:f1], mass[f0:f1], spread[f0:f1], zero, total
+        if not total > 0.0:
+            out.append(_LogYields(*seg, 0.0, 0.0))
+        else:
+            sd = math.sqrt(np.add.reduce(square[f0:f1]) / total)
+            out.append(_LogYields(*seg, float(mean), sd, core))
+    return out
 
-    Each stratum takes blocks about equally wide in log-yield.  A block of a
-    sum of strata is a sum of their blocks.  ``_merge_blocks`` merges a sum
-    of two or more before a further stratum takes it past ``_SUM_POINTS``
-    blocks, and a sum past it before a census stratum shifts it and at the end.
-    ``tail`` is the posterior mass below the lower bound read (and above the upper).
+
+def _tabulate(segments, family: str, tail: float) -> list[_LogYields]:
+    """The posterior of each segment's yield given one relevant count and
+    prior per stratum; ``segments`` holds (strata, count vector, priors).
+
+    Each stratum takes blocks about equally wide in log-yield, tabulated with
+    the other strata in stacks of at most ``_CHUNK_CELLS`` / 2 edges: one pass
+    over a stack's edges, one over its masses and one over its one-stratum
+    segments' tables.  A block of a sum of strata is a sum of their blocks.
+    ``_merge_blocks`` merges a sum of two or more before a further stratum
+    takes it past ``_SUM_POINTS`` blocks, and a sum past it before a census
+    stratum shifts it and at the end.  ``tail`` is the posterior mass below
+    the lower bound read (and above the upper).
     """
     discrete = float(family == BETA_BINOMIAL)
+    # One stratum's blocks are coarse only in tails far beyond the bounds read.  Strata
+    # that are summed take coarser blocks throughout, a sum being smoother than its parts.
+    alone = (_BLOCKS_PER_SD, _MAX_BLOCKS, min(_CORE_TAIL, _CORE_SHARE * tail))
+    owners, strata, layouts = [], [], []
+    for s, (seg_strata, vector, specs) in enumerate(segments):
+        layout = alone if len(seg_strata) == 1 else (32, 512, 0.0)
+        for j, ((population, sample), r, spec) in enumerate(zip(seg_strata, vector, specs)):
+            if population > sample:
+                owners.append((s, j))
+                strata.append((population, sample, r, spec, layout[2]))
+                layouts.append(layout)
+    windows = _stratum_windows(strata, family)
+    grids = [
+        _block_grid(population - sample, r, window, family, per_sd, most)
+        for (population, sample, r, *_), window, (per_sd, most, _) in zip(strata, windows, layouts)
+    ]
+    out = [None] * len(segments)
+    parts = {}  # the blocks of each stratum of a segment with more than one
+    for single in (True, False):
+        members = [k for k, (s, _) in enumerate(owners) if (len(segments[s][0]) == 1) is single]
+        for rows in _stacks([2 * grids[k].size for k in members]):
+            stack = [members[row] for row in rows]
+            left, right, firsts = _block_edges([grids[k] for k in stack], family)
+            mass = _stratum_masses(
+                [(strata[k][0] - strata[k][1], windows[k]) for k in stack],
+                family, left, right, firsts,
+            )
+            counts = np.array([f1 - f0 for f0, f1 in zip(firsts, firsts[1:])])
+            if discrete:
+                # Gauss-Legendre blocks may miss ~1e-7 of the mass, a false tail that would put
+                # bounds near level 1 at 0 or 1.  A window from 0 starts with the count 0.
+                sums = [np.add.reduce(mass[f0:f1]) for f0, f1 in zip(firsts, firsts[1:])]
+                mass /= np.array(sums).repeat(counts)
+            width = right - left
+            rs = [strata[k][2] for k in stack]
+            centre = np.array(rs).repeat(counts) + left + (width - discrete) / 2.0
+            spread = (width**2 - discrete) / 12.0
+            zeros = [
+                mass[f0] if discrete and r == windows[k][2] == 0 else 0.0
+                for k, r, f0 in zip(stack, rs, firsts)
+            ]
+            if single:
+                edges = [
+                    [r + windows[k][4], r + windows[k][5] + discrete] for k, r in zip(stack, rs)
+                ]
+                with np.errstate(divide="ignore"):  # a core from a yield of 0 has no lower edge
+                    cores = map(tuple, np.log(edges).tolist())
+                tables = _log_yields(centre, mass, spread, firsts, zeros, cores)
+                for k, table in zip(stack, tables):
+                    out[owners[k][0]] = table
+            else:
+                for k, f0, f1, zero in zip(stack, firsts, firsts[1:], zeros):
+                    parts[owners[k]] = centre[f0:f1], mass[f0:f1], spread[f0:f1], zero
+    for s, (seg_strata, vector, _) in enumerate(segments):
+        if out[s] is None:
+            out[s] = _summed_log_yields(vector, [parts.get((s, j)) for j in range(len(seg_strata))])
+    return out
+
+
+def _summed_log_yields(vector, parts) -> _LogYields:
+    """The ``_LogYields`` of a segment from the blocks of each of its strata
+    (``_tabulate``; None for a census stratum), as sums of one block a stratum."""
     centre, mass, spread = np.zeros(1), np.ones(1), np.zeros(1)
     zero = 1.0  # a yield of 0 takes no relevant count, sampled or not, in any stratum
     summed = False  # whether blocks of two strata were summed
-    core = (-math.inf, math.inf)
-    # One stratum's blocks are coarse only in tails far beyond the bounds read.  Strata
-    # that are summed take coarser blocks throughout, a sum being smoother than its parts.
-    per_sd, most, core_tail = (
-        (_BLOCKS_PER_SD, _MAX_BLOCKS, min(_CORE_TAIL, _CORE_SHARE * tail))
-        if len(strata) == 1
-        else (32, 512, 0.0)
-    )
-    for (population, sample), r, spec in zip(strata, vector, specs):
-        remainder = population - sample
-        if not remainder:
+    for r, part in zip(vector, parts):
+        if part is None:
             if len(centre) > _SUM_POINTS:
                 centre, mass, spread = _merge_blocks(centre, mass, spread)
             centre, zero = centre + r, zero * (r == 0)
             continue
-        window = _stratum_window(population, sample, r, family, spec, core_tail)
-        if len(strata) == 1:
-            with np.errstate(divide="ignore"):  # a core from a yield of 0 has no lower edge
-                core = tuple(np.log([r + window[4], r + window[5] + discrete]).tolist())
-        edges = _block_edges(remainder, r, window, family, per_sd, most)
-        width = np.diff(edges)
-        part = _stratum_masses(remainder, window, family, edges)
-        if discrete:
-            # Gauss-Legendre blocks may miss ~1e-7 of the mass, a false tail that would put
-            # bounds near level 1 at 0 or 1.  A window from 0 starts with the count 0.
-            part = part / np.sum(part)
-        zero *= part[0] if discrete and r == window[2] == 0 else 0.0
-        if summed and len(centre) * len(part) > _SUM_POINTS:
+        add, weight, widen, at_zero = part
+        zero *= at_zero
+        if summed and len(centre) * len(weight) > _SUM_POINTS:
             # Merged first, a further stratum multiplies hundreds of blocks, not tens of thousands.
             centre, mass, spread = _merge_blocks(centre, mass, spread)
         # One stratum's blocks increase, shifted by any census strata; sums of two do not.
         summed |= len(centre) > 1
-        centre = (centre[:, None] + (r + edges[:-1] + (width - discrete) / 2.0)).ravel()
-        mass = (mass[:, None] * part).ravel()
-        spread = (spread[:, None] + (width**2 - discrete) / 12.0).ravel()
+        centre = (centre[:, None] + add).ravel()
+        mass = (mass[:, None] * weight).ravel()
+        spread = (spread[:, None] + widen).ravel()
     if len(centre) > _SUM_POINTS:
         centre, mass, spread = _merge_blocks(centre, mass, spread)
-    keep = (centre > 0.0) & (mass > 0.0)
-    y, mass, spread = centre[keep], mass[keep], spread[keep]
     if summed:
-        order = np.argsort(y, kind="stable")
-        y, mass, spread = y[order], mass[order], spread[order]
-    log_y, spread = np.log(y), spread / (y * y)
-    total = np.sum(mass)
-    if not total > 0.0:
-        return _LogYields(log_y, mass, spread, zero, total, 0.0, 0.0)
-    mean = np.sum(mass * log_y) / total
-    sd = math.sqrt(np.sum(mass * ((log_y - mean) ** 2 + spread)) / total)
-    return _LogYields(log_y, mass, spread, zero, total, float(mean), sd, core)
+        order = np.argsort(centre, kind="stable")
+        centre, mass, spread = centre[order], mass[order], spread[order]
+    return _log_yields(centre, mass, spread, [0, len(centre)], [zero], [(-math.inf, math.inf)])[0]
 
 
 def _stacks(lengths: list[int]) -> list[list[int]]:
@@ -1466,18 +1648,21 @@ def posterior_bounds(
         def yield_sd(side: int, vector) -> float:
             return _betabin_yield_sd(batch.strata[side], vector, specs[side])
 
-        @functools.cache
-        def posterior(side: int, vector) -> _LogYields:
-            return _segment_log_yields(batch.strata[side], vector, family, specs[side], tail)
-
-        exact, groups = [], {}
+        exact, pairs = [], []
         for k, v1, v0 in zip(sub.tolist(), *vectors):
             if family == BETA_BINOMIAL:
                 sds = yield_sd(0, v1), yield_sd(1, v0)
                 if sds[0] * sds[1] < _LATTICE_ATOMS_MIN and max(sds) <= _EXACT_SD_MAX:
                     exact.append(k)
                     continue
-            seg1, seg0 = posterior(0, v1), posterior(1, v0)
+            pairs.append((k, v1, v0))
+        # The distinct segments of the lattice's pairs, tabulated together.
+        keys = list(dict.fromkeys(key for _, *segments in pairs for key in enumerate(segments)))
+        segments = [(batch.strata[side], vector, specs[side]) for side, vector in keys]
+        posterior = dict(zip(keys, _tabulate(segments, family, tail)))
+        groups = {}
+        for k, v1, v0 in pairs:
+            seg1, seg0 = posterior[0, v1], posterior[1, v0]
             point = _point_recall(seg1, seg0)
             if point is not None:
                 lower[k], upper[k] = point, point
@@ -1486,14 +1671,14 @@ def posterior_bounds(
             groups.setdefault(h, []).append((v1, v0, k))
         for h, members in groups.items():
             nodes = [
-                dict(zip(vectors, _nodes([posterior(side, v) for v in vectors], h)))
+                dict(zip(vectors, _nodes([posterior[side, v] for v in vectors], h)))
                 for side, vectors in enumerate(
                     dict.fromkeys(member[side] for member in members) for side in (0, 1)
                 )
             ]
             bounds = _lattice_quantiles(
                 h,
-                [(posterior(0, v1).zero, nodes[0][v1], nodes[1][v0]) for v1, v0, _ in members],
+                [(posterior[0, v1].zero, nodes[0][v1], nodes[1][v0]) for v1, v0, _ in members],
                 (tail, 1.0 - tail),
             )
             index = [k for _, _, k in members]

@@ -10,8 +10,33 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+import scipy
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
+
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "demos" / "out"
+
+
+def host_note() -> str:
+    """The numpy and scipy versions and numpy's CPU dispatch of this process.
+
+    The committed bytes hold on the dispatch they were made on: numpy picks
+    its exp and log kernels at run time, and kernels of another dispatch
+    differ in the last bit.  Bounds computed in stacks keep their bits
+    because numpy's elementwise kernels under one dispatch do.  A failure
+    message that names them tells "another host" apart from "the program
+    moved".
+    """
+    enabled = [name for name, on in _multiarray_umath.__cpu_features__.items() if on]
+    return (
+        f"numpy {np.__version__}, scipy {scipy.__version__}; numpy CPU dispatch"
+        f" {_multiarray_umath.__cpu_dispatch__}, enabled features {enabled}"
+    )
 
 
 def _same(was, now) -> bool:
@@ -121,4 +146,7 @@ def assert_matches_committed(produced_dir: Path, names) -> None:
         lines += file_differences(
             name, committed.read_bytes().decode("utf-8"), produced.read_bytes().decode("utf-8")
         )
-    assert not lines, "demos/out is stale; rerun the README commands:\n" + "\n".join(lines)
+    assert not lines, (
+        f"demos/out is stale or was made on another numpy dispatch ({host_note()});"
+        " rerun the README commands:\n" + "\n".join(lines)
+    )

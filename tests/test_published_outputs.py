@@ -26,7 +26,14 @@ import pytest
 from recallci.binomial import RULES
 from recallci.evaluation import EvalConfig, evaluate_coverage
 from recallci.scenarios import BUILTIN_SCENARIOS, builtin_scenario
-from reference_outputs import OUT, ROOT, assert_matches_committed, csv_values, moved_values
+from reference_outputs import (
+    OUT,
+    ROOT,
+    assert_matches_committed,
+    csv_values,
+    host_note,
+    moved_values,
+)
 
 PRODUCERS = (
     *(
@@ -146,7 +153,7 @@ def test_study_heads_match_committed_rows(scenario):
     committed = committed_head(scenario)
     assert sum(map(len, committed.values())) == len(report.methods) * len(COLUMNS) * HEAD
     lines = moved_values(f"study_{scenario}.csv", committed, computed)
-    assert not lines, "\n".join(lines)
+    assert not lines, f"on {host_note()}:\n" + "\n".join(lines)
 
 
 def readme_table() -> dict[str, dict[str, str]]:

@@ -1463,6 +1463,65 @@ class TestLattice:
                     alone = interval_bounds(method, batch_of(design, [pair]), level)
                     assert (lower[k], upper[k]) == (alone[0][0], alone[1][0]), (method, level, pair)
 
+    def test_batch_across_tabulation_stacks_equals_each_sample_alone(self, monkeypatch):
+        """Segments tabulated together, in stacks of at most ``_CHUNK_CELLS``
+        edges, keep their bits: a batch whose segments span several stacks
+        gives every sample its bounds alone.  The batches hold windows from a
+        count of 0, a window wholly below a yield of 1, b < 2 windows that
+        reach the top of the support at a population near 1e9 (summed count
+        by count, per segment), and a census stratum beside summed strata."""
+        stacks, block_edges = [], intervals._block_edges
+
+        def recording(grids, family):
+            stacks.append(len(grids))
+            return block_edges(grids, family)
+
+        runs, pmf = [], intervals._betabin_pmf
+
+        def recording_pmf(remainder, a, b, k, lengths):
+            runs.append(len(lengths))
+            return pmf(remainder, a, b, k, lengths)
+
+        monkeypatch.setattr(intervals, "_block_edges", recording)
+        monkeypatch.setattr(intervals, "_betabin_pmf", recording_pmf)
+        gen = np.random.default_rng(21)
+        batches = {
+            "one stratum": batch_of(
+                (800_000, 320, 6_000_000, 1600),
+                [(r1, (0, 1, 3, 9, 30)[r1 % 5]) for r1 in range(0, 100, 2)],
+            ),
+            "below one, top of the support": batch_of(
+                (1000, 999, 999_999_937, 1000),
+                [(r1, r0) for r1 in (0, 1, 500, 999) for r0 in (1000, 999, 990)],
+            ),
+            "summed, census": CountBatch(
+                (((300_000, 50), (500_000, 40)), ((2_000_000, 100), (3_000_000, 100), (7, 7))),
+                tuple(
+                    tuple(np.append(0, gen.integers(0, 4, 12)) for _ in segment)
+                    for segment in (range(2), range(3))
+                ),
+            ),
+        }
+        for method in POSTERIOR_METHODS:
+            for level in (0.5, 0.95, 1.0 - 1e-9):
+                for name, batch in batches.items():
+                    stacks.clear()
+                    runs.clear()
+                    lower, upper = interval_bounds(method, batch, level)
+                    if name == "one stratum":
+                        assert len(stacks) >= 2 and max(stacks) > 1, (method, level, stacks)
+                    if name == "below one, top of the support" and method != "beta-jeffreys":
+                        # Seven segments in two stacks, and the top sums' one-segment calls.
+                        assert sorted(stacks) == [3, 4] and 1 in runs, (method, level, stacks, runs)
+                    for k in range(len(lower)):
+                        alone = CountBatch(
+                            batch.strata,
+                            tuple(tuple(r[k : k + 1] for r in seg) for seg in batch.relevant),
+                        )
+                        assert (lower[k], upper[k]) == tuple(
+                            b[0] for b in interval_bounds(method, alone, level)
+                        ), (method, level, name, k)
+
     @pytest.mark.parametrize("level", (0.5, 0.95, 1.0 - 1e-12))
     def test_stacked_reads_equal_the_scalar_reader(self, level, monkeypatch):
         read, rows = intervals._lattice_quantiles, []
@@ -1597,14 +1656,14 @@ class TestLattice:
     )
     def test_top_sum_takes_no_more_counts(self, unretrieved, counts, monkeypatch):
         """Coarse tail blocks leave the count-by-count top sum as it was: no
-        pmf call takes more counts than the all-fine layout's top sum.  In the
-        second problem the window reaches the top of the support and its core
-        does not."""
+        pmf call takes more counts for one segment than the all-fine layout's
+        top sum.  In the second problem the window reaches the top of the
+        support and its core does not."""
         sizes, pmf = [], intervals._betabin_pmf
 
-        def recording(remainder, a, b, k):
-            sizes.append(len(k))
-            return pmf(remainder, a, b, k)
+        def recording(remainder, a, b, k, lengths):
+            sizes.extend(lengths)
+            return pmf(remainder, a, b, k, lengths)
 
         monkeypatch.setattr(intervals, "_betabin_pmf", recording)
         problem = RecallProblem.simple(453, 453, 321, *unretrieved)
@@ -1623,13 +1682,14 @@ class TestLattice:
     ):
         """A window that reaches the top of the support where the pmf is smooth
         there (b >= 2) sums no count by count: no pmf call takes more than two
-        points a block.  Summing the top blocks' counts took one call on
-        22,475,370 counts (766 MB) in the first problem and 639,125 in the second."""
+        points a block for one segment.  Summing the top blocks' counts took
+        one call on 22,475,370 counts (766 MB) in the first problem and
+        639,125 in the second."""
         sizes, pmf = [], intervals._betabin_pmf
 
-        def recording(remainder, a, b, k):
-            sizes.append(len(k))
-            return pmf(remainder, a, b, k)
+        def recording(remainder, a, b, k, lengths):
+            sizes.extend(lengths)
+            return pmf(remainder, a, b, k, lengths)
 
         monkeypatch.setattr(intervals, "_betabin_pmf", recording)
         batch = strata_batch(retrieved, unretrieved)
@@ -1650,11 +1710,14 @@ class TestLattice:
         }
         masses = intervals._stratum_masses
 
-        def cdf_differences(remainder, window, family, edges):
+        def cdf_differences(strata, family, left, right, firsts):
             if family != BETA_JEFFREYS:
-                return masses(remainder, window, family, edges)
-            a, b = window[:2]
-            return np.diff(intervals.betainc(a, b, np.minimum(edges / remainder, 1.0)))
+                return masses(strata, family, left, right, firsts)
+            out = []
+            for (remainder, (a, b, *_)), f0, f1 in zip(strata, firsts, firsts[1:]):
+                edges = np.append(left[f0:f1], right[f1 - 1])
+                out.append(np.diff(intervals.betainc(a, b, np.minimum(edges / remainder, 1.0))))
+            return np.concatenate(out)
 
         references = {"_TAIL_COARSE": 1, "_stratum_masses": cdf_differences}
         for design, pairs in designs.items():
@@ -1673,9 +1736,9 @@ class TestLattice:
         blocks, block_edges = [], intervals._block_edges
 
         def counted(*args):
-            edges = block_edges(*args)
-            blocks.append(len(edges) - 1)
-            return edges
+            left, right, firsts = block_edges(*args)
+            blocks.append(len(left))
+            return left, right, firsts
 
         monkeypatch.setattr(intervals, "_block_edges", counted)
         batch = batch_of((2_400_000, 320, 31_000_000, 1600), [(57, 9)])
@@ -1691,12 +1754,12 @@ class TestLattice:
     @staticmethod
     def unclipped(monkeypatch):
         """Node tables over each segment's whole window, as before they stopped at its core."""
-        tabulate = intervals._segment_log_yields
+        tabulate = intervals._tabulate
 
         def whole_window(*args):
-            return tabulate(*args)._replace(core=(-math.inf, math.inf))
+            return [table._replace(core=(-math.inf, math.inf)) for table in tabulate(*args)]
 
-        monkeypatch.setattr(intervals, "_segment_log_yields", whole_window)
+        monkeypatch.setattr(intervals, "_tabulate", whole_window)
 
     def test_core_edges_cut_cells(self, monkeypatch):
         """A legal-sized pair convolves under half the cells of node tables

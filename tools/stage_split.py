@@ -8,14 +8,17 @@ Runs realizations 0 .. n-1 of each built-in scenario (500 samples, all nine
 methods) through the coverage harness's per-realization step with each
 stage below wrapped in a timer, and prints each stage's self time in ms per
 realization: its wall time less that of the wrapped stages it calls.
-"other" is the rest of the realization's wall time.  "blocks" counts the
-posterior blocks tabulated per realization (``intervals._block_edges``),
-and "masses/bound" the tail masses the exact search evaluates per bound it
-searches: one at each bound's lower end, and one per probe, as scored by
-``intervals.ndtri``.  "cells/pair" is the mean of len(t1) x len(t0), the
-cells of one convolution, over the pairs ``intervals._lattice_quantiles``
-reads.  The timers add about a microsecond per call, so the
-table locates time; ``perfbench`` measures it.
+"other" is the rest of the realization's wall time.  "tabulation" is
+``intervals._tabulate``, which tabulates a batch's segments in stacks and
+sums the strata of stratified ones.  "segments" counts the segments it
+tabulates per realization, "blocks" the posterior blocks of their strata
+(``intervals._block_edges``, once a stack), and "masses/bound" the tail
+masses the exact search evaluates per bound it searches: one at each
+bound's lower end, and one per probe, as scored by ``intervals.ndtri``.
+"cells/pair" is the mean of len(t1) x len(t0), the cells of one
+convolution, over the pairs ``intervals._lattice_quantiles`` reads.  The
+timers add about a microsecond per call, so the table locates time;
+``perfbench`` measures it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from recallci.scenarios import BUILTIN_SCENARIOS, builtin_scenario
 
 # (stage, module, attribute); the lattice looks each one up at call time.
 STAGES = (
-    ("tabulation", intervals, "_segment_log_yields"),
+    ("tabulation", intervals, "_tabulate"),
     ("node tables", intervals, "_nodes"),
     ("convolution", np, "convolve"),
     ("quantile read", intervals, "_lattice_quantiles"),
@@ -49,7 +52,8 @@ STAGES = (
 # that hands ndtri an array, one score per bound it probes; the other calls
 # pass a scalar.  A new array call there would inflate masses/bound.
 COUNTS = (
-    ("blocks", intervals, "_block_edges", lambda args, edges: len(edges) - 1),
+    ("segments", intervals, "_tabulate", lambda args, tables: len(tables)),
+    ("blocks", intervals, "_block_edges", lambda args, blocks: len(blocks[0])),
     ("searched", intervals, "_quantile_search", lambda args, bounds: len(bounds)),
     ("probes", intervals, "ndtri", lambda args, s: np.size(s) * isinstance(args[0], np.ndarray)),
     ("pairs", intervals, "_lattice_quantiles", lambda args, out: len(args[1])),
@@ -117,6 +121,7 @@ def split(scenario: str, realizations: int, seed: int) -> dict[str, float]:
     row = {name: 1e3 * timer.self_s[name] / realizations for name, *_ in STAGES}
     row["other"] = 1e3 * wall / realizations - sum(row.values())
     row["wall"] = 1e3 * wall / realizations
+    row["segments"] = counts["segments"] / realizations
     row["blocks"] = counts["blocks"] / realizations
     searched = counts["searched"]
     row["masses/bound"] = (searched + counts["probes"]) / searched if searched else math.nan
